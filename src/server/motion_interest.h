@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geometry/box.h"
@@ -41,18 +43,33 @@ class MotionInterestTracker {
 
   // Aggregates every client's discounted block-visit probabilities into
   // one field. Deterministic: clients iterate in ascending id and the
-  // Monte-Carlo sampler is seeded per call from the tracker's base seed.
-  storage::InterestGrid Snapshot() const;
+  // Monte-Carlo sampler is seeded per client from the tracker's base seed.
+  //
+  // A client's contribution is a pure function of its observation history
+  // (the sampler is re-seeded on every computation), so it is cached and
+  // recomputed only for clients observed since the previous Snapshot.
+  // Each block appears at most once per client, so every block's score is
+  // the same ascending-id sum whether a contribution was cached or fresh:
+  // the field is bit-identical to recomputing every client on each call.
+  storage::InterestGrid Snapshot();
 
-  int64_t clients() const { return static_cast<int64_t>(predictors_.size()); }
+  int64_t clients() const { return static_cast<int64_t>(clients_.size()); }
 
  private:
+  struct ClientInterest {
+    motion::MotionPredictor predictor;
+    // (block, probability) pairs from the last computation; valid while
+    // `stale` is false.
+    std::vector<std::pair<int64_t, double>> contribution;
+    bool stale = true;
+  };
+
   Options options_;
   geometry::Box2 space_;
   geometry::GridPartition grid_;
   // Ordered map so Snapshot's accumulation order (and therefore its
   // floating-point result) is independent of insertion order.
-  std::map<int32_t, motion::MotionPredictor> predictors_;
+  std::map<int32_t, ClientInterest> clients_;
 };
 
 }  // namespace mars::server

@@ -198,7 +198,9 @@ common::Status BufferPool::Erase(PageId id) {
     resident_.erase(it);
     lru_.Erase(id);
   }
-  regions_.erase(id);
+  if (regions_.erase(id) > 0) {
+    scored_stale_ = true;
+  }
   return manager_->Erase(id);
 }
 
@@ -220,6 +222,7 @@ PageId BufferPool::root() const {
 void BufferPool::SetPageRegion(PageId id, const geometry::Box2& region) {
   common::MutexLock lock(&mu_);
   regions_[id] = region;
+  scored_stale_ = true;
   auto it = resident_.find(id);
   if (it != resident_.end()) {
     it->second.score = ScoreLocked(id);
@@ -228,34 +231,42 @@ void BufferPool::SetPageRegion(PageId id, const geometry::Box2& region) {
 
 void BufferPool::UpdateInterest(const InterestGrid& interest) {
   common::MutexLock lock(&mu_);
+  if (interest == interest_) {
+    return;
+  }
   interest_ = interest;
+  scored_stale_ = true;
   for (auto& [id, entry] : resident_) {
     entry.score = ScoreLocked(id);
   }
 }
 
-std::vector<BufferPool::PrefetchCandidate> BufferPool::PrefetchCandidates()
-    const {
+std::vector<BufferPool::PrefetchCandidate> BufferPool::PrefetchCandidates() {
   common::MutexLock lock(&mu_);
+  if (scored_stale_) {
+    scored_.clear();
+    if (!interest_.empty()) {
+      for (const auto& [id, region] : regions_) {
+        const double score = interest_.ScoreRegion(region);
+        if (score > 0.0) {
+          scored_.push_back({id, score});
+        }
+      }
+      // regions_ iterates in hash order; ascending id makes the candidate
+      // list — and therefore the warmer's tie-breaks — deterministic.
+      std::sort(scored_.begin(), scored_.end(),
+                [](const PrefetchCandidate& a, const PrefetchCandidate& b) {
+                  return a.id < b.id;
+                });
+    }
+    scored_stale_ = false;
+  }
   std::vector<PrefetchCandidate> out;
-  if (interest_.empty()) {
-    return out;
-  }
-  for (const auto& [id, region] : regions_) {
-    if (resident_.contains(id)) {
-      continue;
-    }
-    const double score = interest_.ScoreRegion(region);
-    if (score > 0.0) {
-      out.push_back({id, score});
+  for (const PrefetchCandidate& c : scored_) {
+    if (!resident_.contains(c.id)) {
+      out.push_back(c);
     }
   }
-  // regions_ iterates in hash order; ascending id makes the candidate
-  // list — and therefore the warmer's tie-breaks — deterministic.
-  std::sort(out.begin(), out.end(),
-            [](const PrefetchCandidate& a, const PrefetchCandidate& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 

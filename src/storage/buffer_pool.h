@@ -26,6 +26,8 @@ struct InterestGrid {
 
   bool empty() const { return nx <= 0 || ny <= 0 || score.empty(); }
 
+  friend bool operator==(const InterestGrid&, const InterestGrid&) = default;
+
   // Mean block score over the blocks a world-space region overlaps (zero
   // when the grid is empty or the region misses the space entirely).
   double ScoreRegion(const geometry::Box2& region) const;
@@ -45,6 +47,8 @@ struct PoolStats {
   int64_t prefetch_hits = 0;     // speculative entries a query later hit
   int64_t prefetch_wasted = 0;   // speculative entries evicted unused
   int64_t prefetch_dropped = 0;  // installs refused (resident / too cold)
+
+  friend bool operator==(const PoolStats&, const PoolStats&) = default;
 };
 
 // Thread-safe cache of logical node arrays in front of an IStorageManager.
@@ -80,7 +84,9 @@ class BufferPool {
   // for ids that are not resident.
   void SetPageRegion(PageId id, const geometry::Box2& region);
 
-  // Installs a fresh interest field and rescores every resident array.
+  // Installs a fresh interest field and rescores every resident array. A
+  // field equal to the installed one is a no-op: every resident's score
+  // already equals its region's score under it.
   void UpdateInterest(const InterestGrid& interest);
 
   // --- Pool-warming surface (storage::PoolWarmer) -------------------------
@@ -97,8 +103,10 @@ class BufferPool {
   };
   // Every registered array that is not resident and scores above zero
   // under the current interest field, in ascending id order (the warmer
-  // re-sorts globally by score, so the order here only fixes ties).
-  std::vector<PrefetchCandidate> PrefetchCandidates() const;
+  // re-sorts globally by score, so the order here only fixes ties). The
+  // scored list is cached and rebuilt only after the field or the
+  // registered regions change; other calls just drop resident arrays.
+  std::vector<PrefetchCandidate> PrefetchCandidates();
 
   // Loads the array's bytes from the backing store without touching the
   // hit/miss counters or the resident set — the speculative read half of
@@ -160,6 +168,10 @@ class BufferPool {
   std::unordered_map<PageId, Resident> resident_ MARS_GUARDED_BY(mu_);
   std::unordered_map<PageId, geometry::Box2> regions_ MARS_GUARDED_BY(mu_);
   InterestGrid interest_ MARS_GUARDED_BY(mu_);
+  // Every registered array scoring above zero under interest_, ascending
+  // id; rebuilt by PrefetchCandidates when `scored_stale_` is set.
+  std::vector<PrefetchCandidate> scored_ MARS_GUARDED_BY(mu_);
+  bool scored_stale_ MARS_GUARDED_BY(mu_) = true;
   int64_t clock_ MARS_GUARDED_BY(mu_) = 0;
   int64_t used_pages_ MARS_GUARDED_BY(mu_) = 0;
   PoolStats stats_ MARS_GUARDED_BY(mu_);

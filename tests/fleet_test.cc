@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -549,44 +550,48 @@ TEST_F(FleetEngineTest, HeavierClientGetsLowerDelay) {
   EXPECT_LT(heavy.P99ResponseSeconds(), light.P99ResponseSeconds());
 }
 
+// A starved cell with a tight admission budget, so the controller
+// actually has to defer and shed. Deferrals add ticks on which clients
+// are due but none commits a frame.
+fleet::FleetOptions DeferringFleetOptions(int workers) {
+  fleet::FleetOptions options;
+  options.workers = workers;
+  options.cell.cell_bandwidth_kbps = 128.0;
+  options.cell.client_bandwidth_kbps = 64.0;
+  options.admission.enabled = true;
+  options.admission.max_client_backlog_bytes = 8 * 1024;
+  options.admission.max_client_queue_depth = 2;
+  options.admission.overload_backlog_bytes = 16 * 1024;
+  options.admission.shed_backlog_bytes = 48 * 1024;
+  options.admission.defer_backoff_seconds = 0.25;
+  options.admission.max_defers = 3;
+  return options;
+}
+
+constexpr int32_t kDeferringClients = 9;
+constexpr int32_t kDeferringFrames = 25;
+
+std::vector<fleet::ClientSpec> DeferringFleetSpecs() {
+  auto specs = fleet::FleetEngine::MakeMixedFleet(
+      kDeferringClients, kDeferringFrames, /*speed=*/0.5, /*seed=*/0);
+  for (fleet::ClientSpec& spec : specs) {
+    spec.query_fraction = 0.3;  // enough demand to congest the cell
+    spec.weight = 1.0 + static_cast<double>(spec.id % 3);
+  }
+  return specs;
+}
+
 // Admission control on a starved cell: naive bulk requests get deferred
 // and eventually shed, motion-aware classes are never shed, accounting
 // balances, and the whole thing stays bit-identical across worker counts.
 TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
-  const int32_t kClients = 9;
-  const int32_t kFrames = 25;
-  auto make_options = [](int workers) {
-    fleet::FleetOptions options;
-    options.workers = workers;
-    // A starved cell with a tight admission budget so the controller
-    // actually has to defer and shed.
-    options.cell.cell_bandwidth_kbps = 128.0;
-    options.cell.client_bandwidth_kbps = 64.0;
-    options.admission.enabled = true;
-    options.admission.max_client_backlog_bytes = 8 * 1024;
-    options.admission.max_client_queue_depth = 2;
-    options.admission.overload_backlog_bytes = 16 * 1024;
-    options.admission.shed_backlog_bytes = 48 * 1024;
-    options.admission.defer_backoff_seconds = 0.25;
-    options.admission.max_defers = 3;
-    return options;
-  };
-  auto make_specs = [&] {
-    auto specs = fleet::FleetEngine::MakeMixedFleet(kClients, kFrames,
-                                                    /*speed=*/0.5, /*seed=*/0);
-    for (fleet::ClientSpec& spec : specs) {
-      spec.query_fraction = 0.3;  // enough demand to congest the cell
-      spec.weight = 1.0 + static_cast<double>(spec.id % 3);
-    }
-    return specs;
-  };
-
-  fleet::FleetEngine engine(*system_, make_options(8), make_specs());
+  fleet::FleetEngine engine(*system_, DeferringFleetOptions(8),
+                            DeferringFleetSpecs());
   const fleet::FleetResult result = engine.Run();
 
   // Every client still completed its tour: deferral is bounded, shedding
   // consumes the frame, nothing hangs.
-  EXPECT_EQ(result.aggregate.frames, kClients * kFrames);
+  EXPECT_EQ(result.aggregate.frames, kDeferringClients * kDeferringFrames);
   // The controller actually exercised both the defer and the shed paths.
   EXPECT_GT(result.deferred_exchanges, 0);
   EXPECT_GT(result.shed_exchanges, 0);
@@ -623,7 +628,8 @@ TEST_F(FleetEngineTest, AdmissionShedsOnlyBulkAndStaysDeterministic) {
   // Deferral retries reshape the tick schedule into many tiny batches —
   // exactly the load that exposed the thread-pool retire race — and the
   // run must still be bit-identical serially.
-  fleet::FleetEngine replay(*system_, make_options(1), make_specs());
+  fleet::FleetEngine replay(*system_, DeferringFleetOptions(1),
+                            DeferringFleetSpecs());
   const fleet::FleetResult serial = replay.Run();
   EXPECT_EQ(FleetJson(serial), FleetJson(result));
   EXPECT_EQ(serial.deferred_exchanges, result.deferred_exchanges);
@@ -1191,35 +1197,56 @@ TEST_F(FleetEngineTest, AbrLadderEngagesAndStaysBitIdenticalAcrossWorkers) {
 // reference), because speculative reads only ever change which pages
 // are resident — never results, node accesses, or timing. The warm
 // runs also vary the I/O pool width, which must be equally invisible.
+// A disk-backed, motion-evicting 4-shard System over SmallConfig's scene,
+// built fresh into its own page files under `name` (a page file left by
+// an earlier run would be restored instead of built, which changes the
+// pool's write counters).
+std::unique_ptr<core::System> DiskMotionSystem(const std::string& name,
+                                               bool warm, int warm_workers) {
+  const std::string path = ::testing::TempDir() + "/" + name + ".pages";
+  core::System::Config config = SmallConfig();
+  config.shards = 4;
+  config.storage.store = storage::StoreKind::kDisk;
+  config.storage.path = path;
+  config.storage.evict = storage::EvictPolicy::kMotion;
+  config.storage.pool_pages = 64;  // small: keeps eviction live
+  config.storage.warm = warm;
+  config.storage.warm_budget = 8;
+  config.storage.warm_workers = warm_workers;
+  std::remove(path.c_str());
+  std::remove((path + ".shardmap").c_str());
+  for (int s = 0; s < 4; ++s) {
+    std::remove((path + ".shard" + std::to_string(s)).c_str());
+  }
+  auto system = core::System::Create(config);
+  EXPECT_TRUE(system.ok());
+  if (!system.ok()) return nullptr;
+  EXPECT_EQ((*system)->server().pool_warming_enabled(), warm);
+  return std::move(*system);
+}
+
+int64_t PrefetchIssued(const core::System& system) {
+  int64_t issued = 0;
+  for (const auto& s : system.server().PoolStats()) {
+    issued += s.pool.prefetch_issued;
+  }
+  return issued;
+}
+
 TEST(FleetWarmingTest, DiskFleetBitIdenticalAcrossWorkersAndWarming) {
   std::string reference;
   for (const bool warm : {false, true}) {
     for (const int workers : {1, 8}) {
-      const std::string path = ::testing::TempDir() + "/fleet_warm_" +
-                               (warm ? "on" : "off") + "_" +
-                               std::to_string(workers) + ".pages";
-      core::System::Config config = SmallConfig();
-      config.shards = 4;
-      config.storage.store = storage::StoreKind::kDisk;
-      config.storage.path = path;
-      config.storage.evict = storage::EvictPolicy::kMotion;
-      config.storage.pool_pages = 64;  // small: keeps eviction live
-      config.storage.warm = warm;
-      config.storage.warm_budget = 8;
-      config.storage.warm_workers = workers == 8 ? 4 : 1;
-      std::remove(path.c_str());
-      std::remove((path + ".shardmap").c_str());
-      for (int s = 0; s < 4; ++s) {
-        std::remove((path + ".shard" + std::to_string(s)).c_str());
-      }
-      auto system = core::System::Create(config);
-      ASSERT_TRUE(system.ok());
-      ASSERT_EQ((*system)->server().pool_warming_enabled(), warm);
+      auto system = DiskMotionSystem(
+          std::string("fleet_warm_") + (warm ? "on" : "off") + "_" +
+              std::to_string(workers),
+          warm, workers == 8 ? 4 : 1);
+      ASSERT_NE(system, nullptr);
 
       fleet::FleetOptions options;
       options.workers = workers;
       fleet::FleetEngine engine(
-          **system, options,
+          *system, options,
           fleet::FleetEngine::MakeMixedFleet(9, /*frames=*/25, /*speed=*/0.5,
                                              /*seed=*/0));
       const std::string json = FleetJson(engine.Run());
@@ -1232,15 +1259,69 @@ TEST(FleetWarmingTest, DiskFleetBitIdenticalAcrossWorkersAndWarming) {
 
       // The warm runs must actually warm — otherwise the comparison
       // above vacuously checks two cold configurations.
-      int64_t issued = 0;
-      for (const auto& s : (*system)->server().PoolStats()) {
-        issued += s.pool.prefetch_issued;
-      }
       if (warm) {
-        EXPECT_GT(issued, 0);
+        EXPECT_GT(PrefetchIssued(*system), 0);
       } else {
-        EXPECT_EQ(issued, 0);
+        EXPECT_EQ(PrefetchIssued(*system), 0);
       }
+    }
+  }
+}
+
+// Motion eviction, warming and admission together: deferral-only ticks
+// skip the interest refresh's work (no client committed, so the field
+// is unchanged) but still join and dispatch the warmer. The combination
+// must stay byte-identical across worker counts, and must really defer
+// and warm, or the comparison proves nothing.
+TEST(FleetWarmingTest, MotionWarmAdmissionBitIdenticalAcrossWorkers) {
+  std::string reference;
+  for (const int workers : {1, 8}) {
+    auto system = DiskMotionSystem(
+        "fleet_motion_admit_" + std::to_string(workers), /*warm=*/true,
+        workers == 8 ? 4 : 1);
+    ASSERT_NE(system, nullptr);
+    fleet::FleetEngine engine(*system, DeferringFleetOptions(workers),
+                              DeferringFleetSpecs());
+    const fleet::FleetResult result = engine.Run();
+    EXPECT_GT(result.deferred_exchanges, 0);
+    EXPECT_GT(PrefetchIssued(*system), 0);
+    const std::string json = FleetJson(result);
+    if (reference.empty()) {
+      reference = json;
+    } else {
+      EXPECT_EQ(json, reference) << "diverged at workers=" << workers;
+    }
+  }
+}
+
+// The per-shard pool counters (hits, misses, evictions, disk reads,
+// prefetch outcomes) depend on the order in which concurrent client
+// steps call Fetch, so they are not invariant across worker counts. At
+// one worker that order is fixed, and the counters repeat exactly.
+TEST(FleetWarmingTest, PoolCountersRepeatExactlyAtOneWorker) {
+  std::vector<index::ShardedCoefficientIndex::ShardPoolStats> reference;
+  for (const int run : {0, 1}) {
+    auto system = DiskMotionSystem("fleet_pool_repeat_" + std::to_string(run),
+                                   /*warm=*/true, /*warm_workers=*/1);
+    ASSERT_NE(system, nullptr);
+    fleet::FleetEngine engine(*system, DeferringFleetOptions(/*workers=*/1),
+                              DeferringFleetSpecs());
+    engine.Run();
+    const auto stats = system->server().PoolStats();
+    ASSERT_EQ(stats.size(), 4u);
+    int64_t lookups = 0;
+    for (const auto& s : stats) lookups += s.pool.hits + s.pool.misses;
+    EXPECT_GT(lookups, 0);
+    if (run == 0) {
+      reference = stats;
+      continue;
+    }
+    ASSERT_EQ(stats.size(), reference.size());
+    for (size_t k = 0; k < stats.size(); ++k) {
+      EXPECT_EQ(stats[k].shard, reference[k].shard);
+      EXPECT_TRUE(stats[k].pool == reference[k].pool) << "shard " << k;
+      EXPECT_EQ(stats[k].file_pages, reference[k].file_pages);
+      EXPECT_EQ(stats[k].free_pages, reference[k].free_pages);
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <map>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include "server/admission.h"
 #include "server/hot_cache.h"
 #include "server/inflight_table.h"
+#include "server/motion_interest.h"
 #include "server/object_db.h"
 #include "server/server.h"
 #include "server/session_table.h"
@@ -903,6 +906,78 @@ TEST(ServerRebalanceTest, EnabledServerRunsThePolicy) {
   EXPECT_GE(server.rebalance_ops(), 1);
   EXPECT_EQ(static_cast<int64_t>(server.RebalanceEvents().size()),
             server.rebalance_ops());
+}
+
+// --- Motion interest tracker ----------------------------------------------
+
+// Replays a whole observation history into a fresh tracker and takes one
+// Snapshot: every client's contribution is computed from scratch, which
+// is the uncached sum the incremental tracker must reproduce.
+storage::InterestGrid UncachedSnapshot(
+    const geometry::Box2& space,
+    const std::vector<std::pair<int32_t, geometry::Vec2>>& history) {
+  MotionInterestTracker fresh(space, MotionInterestTracker::Options());
+  for (const auto& [client, position] : history) {
+    fresh.Observe(client, position);
+  }
+  return fresh.Snapshot();
+}
+
+// The tracker caches each client's contribution and recomputes it only
+// after that client's Observe. Across interleaved Observe/Snapshot
+// sequences — clients first seen out of id order, rounds that observe
+// only a subset, and back-to-back Snapshots with nothing observed in
+// between — every cached field must equal the uncached sum score for
+// score (==, not a tolerance).
+TEST(MotionInterestTrackerTest, CachedSnapshotEqualsUncachedSum) {
+  const geometry::Box2 space = geometry::MakeBox2(0, 0, 1000, 1000);
+  MotionInterestTracker tracker(space, MotionInterestTracker::Options());
+  std::vector<std::pair<int32_t, geometry::Vec2>> history;
+
+  // First-seen order is deliberately not ascending.
+  const std::vector<int32_t> ids = {7, 2, 11, 0, 5, 3};
+  std::map<int32_t, geometry::Vec2> position;
+  std::map<int32_t, geometry::Vec2> velocity;
+  common::Rng rng(99);
+  for (const int32_t id : ids) {
+    position[id] = {rng.Uniform(100, 900), rng.Uniform(100, 900)};
+    velocity[id] = {rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
+  }
+
+  int64_t snapshots = 0;
+  for (int round = 0; round < 24; ++round) {
+    // Each round observes a growing prefix of `ids` early on, then a
+    // random subset (possibly empty).
+    for (size_t k = 0; k < ids.size(); ++k) {
+      const int32_t id = ids[k];
+      const bool observe = round < static_cast<int>(ids.size())
+                               ? static_cast<int>(k) <= round
+                               : rng.Bernoulli(0.4);
+      if (!observe) continue;
+      position[id] = position[id] + velocity[id] +
+                     geometry::Vec2{rng.Normal(0, 2), rng.Normal(0, 2)};
+      tracker.Observe(id, position[id]);
+      history.emplace_back(id, position[id]);
+    }
+    const int repeats = 1 + static_cast<int>(rng.UniformInt(0, 2));
+    for (int r = 0; r < repeats; ++r) {
+      const storage::InterestGrid cached = tracker.Snapshot();
+      const storage::InterestGrid oracle = UncachedSnapshot(space, history);
+      ASSERT_EQ(cached.score.size(), oracle.score.size());
+      for (size_t b = 0; b < cached.score.size(); ++b) {
+        ASSERT_EQ(cached.score[b], oracle.score[b])
+            << "round " << round << " repeat " << r << " block " << b;
+      }
+      EXPECT_TRUE(cached == oracle);
+      ++snapshots;
+    }
+  }
+  EXPECT_EQ(tracker.clients(), static_cast<int64_t>(ids.size()));
+  EXPECT_GT(snapshots, 24);
+  // Not vacuous: the field carries mass.
+  double total = 0.0;
+  for (const double v : tracker.Snapshot().score) total += v;
+  EXPECT_GT(total, 0.0);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -427,6 +429,249 @@ InterestGrid GradedGrid() {
     grid.score[static_cast<size_t>(i)] = 1.0 - 0.1 * i;
   }
   return grid;
+}
+
+// --- Cached prefetch candidates -------------------------------------------
+
+// Brute-force PrefetchCandidates: every registered array not in
+// `resident` scoring above zero under `grid`, ascending id.
+std::vector<BufferPool::PrefetchCandidate> BruteForceCandidates(
+    const std::map<PageId, geometry::Box2>& regions,
+    const std::set<PageId>& resident, const InterestGrid& grid) {
+  std::vector<BufferPool::PrefetchCandidate> out;
+  for (const auto& [id, region] : regions) {
+    if (resident.contains(id)) continue;
+    const double score = grid.ScoreRegion(region);
+    if (score > 0.0) out.push_back({id, score});
+  }
+  return out;
+}
+
+void ExpectSameCandidates(
+    const std::vector<BufferPool::PrefetchCandidate>& got,
+    const std::vector<BufferPool::PrefetchCandidate>& want, int step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].id, want[k].id) << "step " << step;
+    EXPECT_EQ(got[k].score, want[k].score) << "step " << step;
+  }
+}
+
+// A random ground grid whose blocks are zero about half the time, so
+// registered regions move in and out of the candidate set.
+InterestGrid RandomGrid(common::Rng& rng) {
+  InterestGrid grid;
+  grid.space = geometry::MakeBox2(0, 0, 100, 100);
+  grid.nx = 10;
+  grid.ny = 10;
+  grid.score.assign(100, 0.0);
+  for (double& v : grid.score) {
+    if (rng.Bernoulli(0.5)) v = rng.Uniform(0.0, 1.0);
+  }
+  return grid;
+}
+
+geometry::Box2 RandomRegion(common::Rng& rng) {
+  const double x = rng.Uniform(0, 90);
+  const double y = rng.Uniform(0, 90);
+  return geometry::MakeBox2(x, y, x + rng.Uniform(1, 10),
+                            y + rng.Uniform(1, 10));
+}
+
+// The cached candidate list must match a brute-force scan after any mix
+// of region registration, erasure, interest changes, query fetches and
+// prefetch installs. The capacity never binds, so the test's residency
+// model is exact and the comparison runs after every operation.
+TEST(BufferPoolTest, CachedPrefetchCandidatesMatchBruteForce) {
+  MemoryStorageManager mgr(256);
+  BufferPool pool(&mgr, /*capacity_pages=*/1 << 20, EvictPolicy::kMotion);
+  common::Rng rng(2024);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 40; ++i) {
+    PageId id = kInvalidPage;
+    ASSERT_TRUE(mgr.Store(&id, Bytes(64, static_cast<uint8_t>(i))).ok());
+    ids.push_back(id);
+  }
+  std::map<PageId, geometry::Box2> regions;
+  std::set<PageId> resident;
+  std::set<PageId> erased;
+  InterestGrid grid;
+  std::vector<uint8_t> out;
+  int64_t nonempty = 0;
+  for (int step = 0; step < 600; ++step) {
+    const PageId id = ids[static_cast<size_t>(rng.UniformInt(0, 39))];
+    const bool live = !erased.contains(id);
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        if (live) {
+          const geometry::Box2 region = RandomRegion(rng);
+          pool.SetPageRegion(id, region);
+          regions[id] = region;
+        }
+        break;
+      case 1:
+        if (live && rng.Bernoulli(0.2)) {
+          ASSERT_TRUE(pool.Erase(id).ok());
+          regions.erase(id);
+          resident.erase(id);
+          erased.insert(id);
+        }
+        break;
+      case 2:
+        if (rng.Bernoulli(0.3)) {
+          grid = RandomGrid(rng);
+        }
+        // Otherwise re-install the current grid unchanged.
+        pool.UpdateInterest(grid);
+        break;
+      case 3:
+        if (live) {
+          ASSERT_TRUE(pool.Fetch(id, &out).ok());
+          resident.insert(id);
+        }
+        break;
+      default:
+        if (live) {
+          ASSERT_TRUE(pool.ReadForPrefetch(id, &out).ok());
+          pool.InstallPrefetched(id, out);
+          // Installs only registered, not-yet-resident arrays.
+          if (regions.contains(id)) resident.insert(id);
+        }
+        break;
+    }
+    const std::vector<BufferPool::PrefetchCandidate> got =
+        pool.PrefetchCandidates();
+    ExpectSameCandidates(got, BruteForceCandidates(regions, resident, grid),
+                         step);
+    // A second call with nothing in between returns the same list.
+    ExpectSameCandidates(pool.PrefetchCandidates(), got, step);
+    if (!got.empty()) ++nonempty;
+    ASSERT_EQ(pool.stats().resident, static_cast<int64_t>(resident.size()));
+  }
+  EXPECT_GT(nonempty, 100);
+}
+
+// Under a binding capacity the pool evicts, so the residency model is
+// replaced by probing the pool itself at the end: every positive-scoring
+// registered array missing from the candidates must be resident (a hit),
+// and every candidate must not be (a miss).
+TEST(BufferPoolTest, CachedPrefetchCandidatesUnderEviction) {
+  MemoryStorageManager mgr(256);
+  BufferPool pool(&mgr, /*capacity_pages=*/6, EvictPolicy::kMotion);
+  common::Rng rng(77);
+  std::vector<PageId> ids;
+  std::map<PageId, geometry::Box2> regions;
+  for (int i = 0; i < 24; ++i) {
+    PageId id = kInvalidPage;
+    ASSERT_TRUE(mgr.Store(&id, Bytes(64, static_cast<uint8_t>(i))).ok());
+    ids.push_back(id);
+    regions[id] = RandomRegion(rng);
+    pool.SetPageRegion(id, regions[id]);
+  }
+  InterestGrid grid = RandomGrid(rng);
+  pool.UpdateInterest(grid);
+  std::vector<uint8_t> out;
+  for (int step = 0; step < 300; ++step) {
+    const PageId id = ids[static_cast<size_t>(rng.UniformInt(0, 23))];
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        grid = RandomGrid(rng);
+        pool.UpdateInterest(grid);
+        break;
+      case 1:
+        ASSERT_TRUE(pool.Fetch(id, &out).ok());
+        break;
+      case 2:
+        regions[id] = RandomRegion(rng);
+        pool.SetPageRegion(id, regions[id]);
+        break;
+      default:
+        ASSERT_TRUE(pool.ReadForPrefetch(id, &out).ok());
+        pool.InstallPrefetched(id, out);
+        break;
+    }
+    // Candidates are a subset of the positive-scoring arrays, id-sorted,
+    // with exact scores.
+    const std::vector<BufferPool::PrefetchCandidate> got =
+        pool.PrefetchCandidates();
+    const std::vector<BufferPool::PrefetchCandidate> all =
+        BruteForceCandidates(regions, {}, grid);
+    size_t k = 0;
+    for (const BufferPool::PrefetchCandidate& c : got) {
+      while (k < all.size() && all[k].id < c.id) ++k;
+      ASSERT_LT(k, all.size()) << "step " << step;
+      EXPECT_EQ(all[k].id, c.id) << "step " << step;
+      EXPECT_EQ(all[k].score, c.score) << "step " << step;
+    }
+  }
+  EXPECT_GT(pool.stats().evictions, 0);
+
+  const std::vector<BufferPool::PrefetchCandidate> got =
+      pool.PrefetchCandidates();
+  std::set<PageId> candidates;
+  for (const BufferPool::PrefetchCandidate& c : got) candidates.insert(c.id);
+  // Hits first: probing a resident array changes only its recency.
+  for (const BufferPool::PrefetchCandidate& c :
+       BruteForceCandidates(regions, {}, grid)) {
+    if (candidates.contains(c.id)) continue;
+    const int64_t hits = pool.stats().hits;
+    ASSERT_TRUE(pool.Fetch(c.id, &out).ok());
+    EXPECT_EQ(pool.stats().hits, hits + 1) << "page " << c.id;
+  }
+  // Then misses: faulting one candidate in never makes another resident.
+  for (const PageId id : candidates) {
+    const int64_t misses = pool.stats().misses;
+    ASSERT_TRUE(pool.Fetch(id, &out).ok());
+    EXPECT_EQ(pool.stats().misses, misses + 1) << "page " << id;
+  }
+}
+
+// Re-installing the grid already in place is a no-op: resident scores
+// (observable through eviction order), the candidate list and every pool
+// counter stay exactly as they were. A changed grid still takes effect.
+TEST(BufferPoolTest, IdenticalInterestGridIsANoOp) {
+  MemoryStorageManager mgr(256);
+  BufferPool pool(&mgr, /*capacity_pages=*/2, EvictPolicy::kMotion);
+  const std::vector<PageId> ids = ColdGradedPages(&mgr, &pool, 6);
+  pool.UpdateInterest(GradedGrid());
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
+  ASSERT_TRUE(pool.Fetch(ids[4], &out).ok());
+
+  const PoolStats before = pool.stats();
+  const std::vector<BufferPool::PrefetchCandidate> candidates =
+      pool.PrefetchCandidates();
+  const InterestGrid same = GradedGrid();  // equal, separately built
+  pool.UpdateInterest(same);
+  pool.UpdateInterest(same);
+  EXPECT_TRUE(pool.stats() == before);
+  ExpectSameCandidates(pool.PrefetchCandidates(), candidates, 0);
+
+  // Scores are unchanged: page 4 (score 0.6) is still the coldest
+  // resident, so faulting in page 1 evicts it and keeps page 0.
+  ASSERT_TRUE(pool.Fetch(ids[1], &out).ok());
+  const int64_t misses = pool.stats().misses;
+  ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
+  EXPECT_EQ(pool.stats().misses, misses);
+
+  // A different grid is installed and rescored. With the bottom row
+  // reversed, page i scores 0.1 * (i + 1): the candidates are pages 2-5,
+  // and resident page 0 is now colder than resident page 1.
+  InterestGrid reversed = GradedGrid();
+  std::reverse(reversed.score.begin(), reversed.score.begin() + 10);
+  ASSERT_FALSE(reversed == GradedGrid());
+  pool.UpdateInterest(reversed);
+  const std::vector<BufferPool::PrefetchCandidate> after =
+      pool.PrefetchCandidates();
+  ASSERT_EQ(after.size(), 4u);
+  EXPECT_EQ(after.front().id, ids[2]);
+  EXPECT_EQ(after.front().score, reversed.score[2]);
+  ASSERT_TRUE(pool.Fetch(ids[5], &out).ok());  // evicts page 0
+  const int64_t misses_after = pool.stats().misses;
+  ASSERT_TRUE(pool.Fetch(ids[1], &out).ok());
+  EXPECT_EQ(pool.stats().misses, misses_after);
+  ASSERT_TRUE(pool.Fetch(ids[0], &out).ok());
+  EXPECT_EQ(pool.stats().misses, misses_after + 1);
 }
 
 TEST(PoolWarmerTest, WarmsHottestPagesUpToBudget) {

@@ -401,7 +401,11 @@ void PrintShardStats(const core::System& system) {
 }
 
 // Per-shard buffer-pool JSON, one line per shard. Disk mode only, so
-// memory-mode output stays byte-identical to the pre-storage era.
+// memory-mode output stays byte-identical to the pre-storage era. Unlike
+// the fleet JSON, these counters (hits, misses, evictions, disk reads,
+// prefetch outcomes) are not invariant across --workers: they depend on
+// the order in which concurrent client steps fetch pages. They repeat
+// exactly at --workers 1.
 void PrintPoolStats(const core::System& system) {
   const server::Server& server = system.server();
   if (!server.disk_store()) return;
