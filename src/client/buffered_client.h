@@ -7,7 +7,6 @@
 
 #include "buffer/block_buffer.h"
 #include "buffer/prefetcher.h"
-#include "client/speed_map.h"
 #include "client/viewport.h"
 #include "common/rng.h"
 #include "geometry/box.h"
@@ -17,6 +16,7 @@
 #include "motion/predictor.h"
 #include "net/link.h"
 #include "net/reliable_channel.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 
 namespace mars::client {
@@ -64,7 +64,7 @@ class BufferedClient {
  public:
   struct Options {
     double query_fraction = 0.1;
-    SpeedResolutionMap speed_map;
+    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
     // must outlive the client). Null — the default — wraps `speed_map` in
     // a static policy, which is bit-identical to the pre-policy pipeline.

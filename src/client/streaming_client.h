@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "client/speed_map.h"
 #include "common/status.h"
 #include "index/record.h"
 #include "client/viewport.h"
@@ -13,6 +12,7 @@
 #include "geometry/vec.h"
 #include "net/link.h"
 #include "net/reliable_channel.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 
 namespace mars::client {
@@ -54,7 +54,7 @@ class StreamingClient {
  public:
   struct Options {
     double query_fraction = 0.1;  // window side as a fraction of the space
-    SpeedResolutionMap speed_map;
+    qos::SpeedResolutionMap speed_map;
     // External QoS policy owning the speed → w_min decision (not owned;
     // must outlive the client). Null — the default — wraps `speed_map` in
     // a static policy, which is bit-identical to the pre-policy pipeline.

@@ -42,133 +42,100 @@ System::System(const Config& config,
   server_ = std::make_unique<server::Server>(db_.get(), options);
 }
 
+namespace {
+
+// The single-client serving loop (paper Sec. IV, Algorithm 1): per tour
+// frame the server runs its serial tick, then the client moves and
+// queries. The public Run* variants differ only in the client they
+// drive, how `fold` adds a frame's report to the metrics, and what
+// `finish` reads off the client before the trailing Quiesce().
+template <typename Client, typename Fold, typename Finish>
+RunMetrics RunTour(const System::Config& config, const geometry::Box2& space,
+                   const server::Server& server,
+                   const std::vector<workload::TourPoint>& tour,
+                   const typename Client::Options& options, Fold fold,
+                   Finish finish) {
+  net::SimulatedLink link(config.link);
+  net::FaultSchedule fault(config.fault);
+  if (fault.enabled()) link.AttachFaultSchedule(&fault);
+  Client cl(options, space, &server, &link);
+  RunMetrics metrics;
+  for (const workload::TourPoint& point : tour) {
+    server.ObserveClientMotion(0, point.position);
+    server.Tick();
+    const auto report = cl.Step(point.position, point.speed);
+    metrics.node_accesses += report.node_accesses;
+    metrics.total_response_seconds += report.response_seconds;
+    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
+    fold(report, &metrics);
+    ++metrics.frames;
+  }
+  finish(cl, &metrics);
+  server.Quiesce();
+  metrics.tour_distance = workload::TourDistance(tour);
+  return metrics;
+}
+
+}  // namespace
+
 RunMetrics System::RunStreaming(
     const std::vector<workload::TourPoint>& tour,
     const client::StreamingClient::Options& options) {
-  net::SimulatedLink link(config_.link);
-  net::FaultSchedule fault(config_.fault);
-  if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::StreamingClient cl(options, space(), server_.get(), &link);
-  RunMetrics metrics;
   int64_t stale_run = 0;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
-  for (const workload::TourPoint& point : tour) {
-    // Warm join first: the previous frame's speculative reads install
-    // before anything else touches the raw page stores this frame.
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    // Dispatch last, against the refreshed interest field: the reads run
-    // while the frame's queries execute below.
-    if (warming) server_->WarmPoolsDispatch();
-    const client::StreamingFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.response_bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.records_delivered += report.new_records;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    metrics.retries += report.retries;
-    if (!report.status.ok()) {
-      ++metrics.timeouts;
-      ++metrics.outage_frames;
-      // A failed frame renders from the store as of the last successful
-      // exchange: it is stale by definition.
-      ++metrics.stale_frames;
-      ++stale_run;
-      metrics.max_stale_run_frames =
-          std::max(metrics.max_stale_run_frames, stale_run);
-    } else {
-      stale_run = 0;
-    }
-    ++metrics.frames;
-  }
-  // Quiesce: commit the trailing pending delivery so the server's
-  // committed state matches the client's store at run end.
-  cl.FlushAck();
-  // Settle the trailing speculative batch so post-run pool stats are
-  // stable (and deterministic) whenever the caller prints them.
-  if (warming) server_->WarmPoolsJoin();
-  metrics.tour_distance = workload::TourDistance(tour);
-  return metrics;
+  return RunTour<client::StreamingClient>(
+      config_, space(), *server_, tour, options,
+      [&stale_run](const client::StreamingFrameReport& report, RunMetrics* m) {
+        m->demand_bytes += report.response_bytes;
+        m->records_delivered += report.new_records;
+        m->retries += report.retries;
+        if (report.status.ok()) {
+          stale_run = 0;
+          return;
+        }
+        ++m->timeouts;
+        ++m->outage_frames;
+        // A failed frame renders from the store as of the last successful
+        // exchange: it is stale by definition.
+        ++m->stale_frames;
+        ++stale_run;
+        m->max_stale_run_frames = std::max(m->max_stale_run_frames, stale_run);
+      },
+      // Commit the trailing pending delivery so the server's committed
+      // state matches the client's store at run end.
+      [](client::StreamingClient& cl, RunMetrics*) { cl.FlushAck(); });
 }
 
 RunMetrics System::RunBuffered(
     const std::vector<workload::TourPoint>& tour,
     const client::BufferedClient::Options& options) {
-  net::SimulatedLink link(config_.link);
-  net::FaultSchedule fault(config_.fault);
-  if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::BufferedClient cl(options, space(), server_.get(), &link);
-  RunMetrics metrics;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
-  for (const workload::TourPoint& point : tour) {
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    if (warming) server_->WarmPoolsDispatch();
-    const client::BufferedFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.demand_bytes;
-    metrics.prefetch_bytes += report.prefetch_bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    metrics.retries += report.retries;
-    metrics.timeouts += report.timeouts;
-    ++metrics.frames;
-  }
-  if (warming) server_->WarmPoolsJoin();
-  metrics.cache_hit_rate = cl.buffer_stats().HitRate();
-  metrics.data_utilization = cl.buffer_stats().Utilization();
-  metrics.outage_frames = cl.outage_frames();
-  metrics.stale_frames = cl.stale_frames();
-  metrics.max_stale_run_frames = cl.max_stale_run_frames();
-  metrics.tour_distance = workload::TourDistance(tour);
-  return metrics;
+  return RunTour<client::BufferedClient>(
+      config_, space(), *server_, tour, options,
+      [](const client::BufferedFrameReport& report, RunMetrics* m) {
+        m->demand_bytes += report.demand_bytes;
+        m->prefetch_bytes += report.prefetch_bytes;
+        m->retries += report.retries;
+        m->timeouts += report.timeouts;
+      },
+      [](const client::BufferedClient& cl, RunMetrics* m) {
+        m->cache_hit_rate = cl.buffer_stats().HitRate();
+        m->data_utilization = cl.buffer_stats().Utilization();
+        m->outage_frames = cl.outage_frames();
+        m->stale_frames = cl.stale_frames();
+        m->max_stale_run_frames = cl.max_stale_run_frames();
+      });
 }
 
 RunMetrics System::RunNaiveObject(
     const std::vector<workload::TourPoint>& tour,
     const client::NaiveObjectClient::Options& options) {
-  net::SimulatedLink link(config_.link);
-  net::FaultSchedule fault(config_.fault);
-  if (fault.enabled()) link.AttachFaultSchedule(&fault);
-  client::NaiveObjectClient cl(options, space(), server_.get(), &link);
-  RunMetrics metrics;
-  const bool motion_pools = server_->motion_interest_enabled();
-  const bool rebalance = server_->rebalance_enabled();
-  const bool warming = server_->pool_warming_enabled();
-  for (const workload::TourPoint& point : tour) {
-    if (warming) server_->WarmPoolsJoin();
-    if (motion_pools) {
-      server_->ObserveClientMotion(0, point.position);
-      server_->RefreshPoolInterest();
-    }
-    if (rebalance) server_->TickRebalancer();
-    if (warming) server_->WarmPoolsDispatch();
-    const client::NaiveFrameReport report =
-        cl.Step(point.position, point.speed);
-    metrics.demand_bytes += report.bytes;
-    metrics.node_accesses += report.node_accesses;
-    metrics.total_response_seconds += report.response_seconds;
-    if (report.response_seconds > 0.0) ++metrics.demand_exchanges;
-    ++metrics.frames;
-  }
-  if (warming) server_->WarmPoolsJoin();
-  metrics.cache_hit_rate = cl.CacheHitRate();
-  metrics.tour_distance = workload::TourDistance(tour);
-  return metrics;
+  return RunTour<client::NaiveObjectClient>(
+      config_, space(), *server_, tour, options,
+      [](const client::NaiveFrameReport& report, RunMetrics* m) {
+        m->demand_bytes += report.bytes;
+      },
+      [](const client::NaiveObjectClient& cl, RunMetrics* m) {
+        m->cache_hit_rate = cl.CacheHitRate();
+      });
 }
 
 }  // namespace mars::core

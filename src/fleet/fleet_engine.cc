@@ -86,9 +86,9 @@ struct FleetEngine::ClientState {
   server::AdmissionController::Verdict adm_verdict;
   std::vector<index::RecordId> hot_touch;
   std::vector<std::pair<index::RecordId, std::vector<uint8_t>>> hot_insert;
-  // Coalescing tick scratch: this tick's delivered records with their
-  // payload byte counts, the records missed by both the inflight table
-  // and the cache, and the subset this client claimed for encoding.
+  // This tick's delivered records with their payload byte counts
+  // (coalescing only), the records missed by the inflight table and the
+  // cache, and the subset this client claimed for encoding.
   std::vector<std::pair<index::RecordId, int64_t>> tick_records;
   std::vector<index::RecordId> encode_candidates;
   std::vector<index::RecordId> claimed;
@@ -99,7 +99,8 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
     : system_(system),
       options_(options),
       hot_cache_(options.hot_cache_bytes, options.hot_cache_shards),
-      inflight_(options.coalesce) {
+      inflight_(options.coalesce),
+      frame_micros_(net::SimClock::ToMicros(options.frame_interval_seconds)) {
   // Coalesced delivery resolution needs the cell's per-client FIFO
   // completion order, which only WFQ provides (equal share drains every
   // transfer simultaneously).
@@ -108,6 +109,7 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
                net::SharedMediumLink::Discipline::kWeightedFair);
   }
   MARS_CHECK_GE(options_.cells, 1);
+  MARS_CHECK_GT(frame_micros_, 0);
   const int32_t num_cells = options_.cells;
   topology_ = net::CellTopology::Build(system_.space(), num_cells);
   admission_.reserve(static_cast<size_t>(num_cells));
@@ -154,7 +156,7 @@ FleetEngine::FleetEngine(const core::System& system, FleetOptions options,
     states_.push_back(BuildState(spec));
     ClientState* state = states_.back().get();
     state->next_submit_seq.assign(static_cast<size_t>(num_cells), 0);
-    if (num_cells > 1 && !state->tour.empty()) {
+    if (!state->tour.empty()) {
       state->cell = topology_.CellAt(state->tour.front().position);
       state->home_cell = state->cell;
     }
@@ -379,57 +381,62 @@ void FleetEngine::StepClient(ClientState* state) {
 
   // Classify this tick's delivered records against the tick-frozen shared
   // structures — read-only probes, so the outcome cannot depend on worker
-  // interleaving.
-  if (inflight_.enabled() && !delivered.empty()) {
-    // Coalescing path: a record already riding another client's transfer
-    // needs neither cache accounting nor an encoding — the serial commit
-    // will attach this client to the carrier. The remaining records probe
-    // the hot cache as usual, but misses are *not* encoded here: the
-    // serial claim sub-phase first deduplicates them across the tick's
-    // clients (see Run()).
-    std::sort(delivered.begin(), delivered.end());
-    delivered.erase(std::unique(delivered.begin(), delivered.end()),
-                    delivered.end());
-    for (const index::RecordId id : delivered) {
+  // interleaving. With coalescing on, a record already riding another
+  // client's transfer needs neither cache accounting nor an encoding: the
+  // serial commit attaches this client to the carrier. Hot-cache misses
+  // become encode candidates; ClaimAndEncode encodes them after the phase,
+  // and the serial commit installs them.
+  const bool coalescing = inflight_.enabled();
+  if (delivered.empty() || (!coalescing && !hot_cache_.enabled())) return;
+  std::sort(delivered.begin(), delivered.end());
+  delivered.erase(std::unique(delivered.begin(), delivered.end()),
+                  delivered.end());
+  for (const index::RecordId id : delivered) {
+    if (coalescing) {
       state->tick_records.emplace_back(id,
                                        system_.db().record(id).wire_bytes);
       if (inflight_.Probe(id) >= 0) continue;
-      if (!hot_cache_.enabled()) continue;
-      const int64_t cached_bytes = hot_cache_.Lookup(id);
-      if (cached_bytes >= 0) {
-        ++state->hot_hits;
-        state->hot_bytes_saved += cached_bytes;
-        state->hot_touch.push_back(id);
-      } else {
-        ++state->hot_misses;
-        state->encode_candidates.push_back(id);
+    }
+    if (!hot_cache_.enabled()) continue;
+    const int64_t cached_bytes = hot_cache_.Lookup(id);
+    if (cached_bytes >= 0) {
+      ++state->hot_hits;
+      state->hot_bytes_saved += cached_bytes;
+      state->hot_touch.push_back(id);
+    } else {
+      ++state->hot_misses;
+      state->encode_candidates.push_back(id);
+    }
+  }
+}
+
+void FleetEngine::ClaimAndEncode(const std::vector<int32_t>& due,
+                                 common::ThreadPool* pool) {
+  // Phase A2 (serial, ascending client id): claim encode ownership per
+  // record. With coalescing on, exactly the first of a tick's requesters
+  // encodes; the rest attach to its registration at commit time. Without
+  // it, every client encodes its own misses.
+  std::unordered_set<index::RecordId> tick_claims;
+  std::vector<std::function<void()>> encode_tasks;
+  for (const int32_t id : due) {
+    ClientState* state = by_id_.at(id);
+    for (const index::RecordId rec : state->encode_candidates) {
+      if (!inflight_.enabled() || tick_claims.insert(rec).second) {
+        state->claimed.push_back(rec);
       }
     }
-    return;
-  }
-  // Probe the shared hot-encoding cache: read-only against the state the
-  // cache had at the tick boundary, so the hit/miss pattern cannot depend
-  // on worker interleaving. Misses are encoded *here* — that is the
-  // parallel CPU work the cache exists to spread — and installed by the
-  // serial commit.
-  if (hot_cache_.enabled() && !delivered.empty()) {
-    std::sort(delivered.begin(), delivered.end());
-    delivered.erase(std::unique(delivered.begin(), delivered.end()),
-                    delivered.end());
-    for (const index::RecordId id : delivered) {
-      const int64_t cached_bytes = hot_cache_.Lookup(id);
-      if (cached_bytes >= 0) {
-        ++state->hot_hits;
-        state->hot_bytes_saved += cached_bytes;
-        state->hot_touch.push_back(id);
-      } else {
-        ++state->hot_misses;
-        ++state->encode_calls;
+    if (state->claimed.empty()) continue;
+    encode_tasks.push_back([this, state] {
+      for (const index::RecordId rec : state->claimed) {
         state->hot_insert.emplace_back(
-            id, server::EncodeRecords(system_.db(), {id}));
+            rec, server::EncodeRecords(system_.db(), {rec}));
       }
-    }
+      state->encode_calls += static_cast<int64_t>(state->claimed.size());
+    });
   }
+  // Phase A3 (parallel): the claimed encodings are the tick's actual
+  // serialization work, spread across the pool.
+  pool->RunBatch(encode_tasks);
 }
 
 void FleetEngine::CommitClient(ClientState* state) {
@@ -560,10 +567,6 @@ void FleetEngine::FinishClient(ClientState* state) {
 FleetResult FleetEngine::Run() {
   VirtualScheduler scheduler;
   common::ThreadPool pool(options_.workers);
-  const int64_t frame_micros =
-      net::SimClock::ToMicros(options_.frame_interval_seconds);
-  MARS_CHECK_GT(frame_micros, 0);
-
   for (const auto& state : states_) {
     if (state->spec.frames > 0) {
       scheduler.Schedule(
@@ -571,300 +574,237 @@ FleetResult FleetEngine::Run() {
           state->spec.id);
     }
   }
-
-  const int32_t num_cells = options_.cells;
-  int64_t peak_backlog = 0;
-  const bool coalescing = inflight_.enabled();
-  // Disk store with motion eviction: the serial commit phase feeds every
-  // committed frame's position into the server-side predictors, and each
-  // tick installs one refreshed interest field on the shard pools.
-  const bool motion_pools = system_.server().motion_interest_enabled();
-  // Load-adaptive rebalancing runs in the serial phase, off atomically
-  // summed per-shard counters — worker-count-invariant by construction,
-  // so fleet metrics stay byte-identical at any --workers.
-  const bool rebalance = system_.server().rebalance_enabled();
-  // Background pool warming: join/dispatch bracket the serial phase so
-  // speculative reads overlap only the parallel client steps, never the
-  // serial window's raw page-store work (see server.h).
-  const bool warming = system_.server().pool_warming_enabled();
-  // Book one cell's drained completions, in the cell's deterministic
-  // completion order. Cells are always recorded in ascending cell id, so
-  // the booking sequence is worker-count-invariant.
-  const auto record_completions =
-      [&](int32_t cell_id,
-          const std::vector<net::SharedMediumLink::Completion>& done) {
-        // ABR goodput samples: booked per completion in the same serial,
-        // cell-id-then-completion order as everything else, with the
-        // finish time quantized to integer microseconds — deterministic
-        // at any worker count. submitted_bytes_ is only populated while
-        // ABR is on, so this is free otherwise.
-        const auto feed_abr = [&](const net::SharedMediumLink::Completion&
-                                      c) {
-          if (submitted_bytes_.empty()) return;
-          const auto bit = submitted_bytes_.find(
-              TransferKey{cell_id, c.client, c.seq});
-          if (bit == submitted_bytes_.end()) return;
-          ClientState* state = by_id_.at(c.client);
-          if (state->abr != nullptr) {
-            state->abr->OnDelivered(bit->second,
-                                    net::SimClock::ToMicros(c.finish_seconds));
-          }
-          submitted_bytes_.erase(bit);
-        };
-        if (!coalescing) {
-          for (const net::SharedMediumLink::Completion& c : done) {
-            feed_abr(c);
-            ClientState* state = by_id_.at(c.client);
-            // Delivery delay on the shared cell is the fleet's response
-            // time; each drained submission is one demand exchange. A
-            // transfer that was cancelled off a dead cell and re-issued
-            // reports the delay from its *original* submission.
-            double response = c.response_seconds;
-            if (!reissue_origin_.empty()) {
-              const auto rit = reissue_origin_.find(
-                  TransferKey{cell_id, c.client, c.seq});
-              if (rit != reissue_origin_.end()) {
-                response = c.finish_seconds - rit->second;
-                reissue_origin_.erase(rit);
-              }
-            }
-            state->metrics.total_response_seconds += response;
-            state->metrics.response_histogram.Add(response);
-            ++state->metrics.demand_exchanges;
-          }
-          return;
-        }
-        for (const net::SharedMediumLink::Completion& c : done) {
-          feed_abr(c);
-          const TransferKey key{cell_id, c.client, c.seq};
-          if (!waiter_reissues_.empty() && waiter_reissues_.erase(key) > 0) {
-            // A stranded-waiter re-issue: it substitutes for a dead
-            // carrier, so it only needs a finish time — it is nobody's
-            // own transfer.
-            if (!finish_at_.emplace(key, c.finish_seconds).second) {
-              ++chaos_duplicates_;
-            }
-            continue;
-          }
-          ClientState* state = by_id_.at(c.client);
-          // Seqs are unique per (cell, client) and never reused, so the
-          // completion maps to exactly one pending exchange. Matching by
-          // seq — not by FIFO position — matters after a migration: a
-          // re-issued exchange takes a *later* seq on its new cell while
-          // keeping its *earlier* place in the deque, so deque order and
-          // per-cell completion order no longer agree.
-          const int64_t seq = c.seq;
-          auto it = std::find_if(
-              state->pending.begin(), state->pending.end(),
-              [cell_id, seq](const ClientState::PendingExchange& e) {
-                return e.cell == cell_id && e.seq == seq &&
-                       e.own_finish < 0.0;
-              });
-          MARS_CHECK(it != state->pending.end());
-          it->own_finish = c.finish_seconds;
-          if (!finish_at_.emplace(key, it->own_finish).second) {
-            ++chaos_duplicates_;
-          }
-          // The carried payloads are delivered: retire the transfer's
-          // inflight entries so later requesters re-fetch (or hit the
-          // hot cache) instead of attaching to a drained carrier.
-          inflight_.OnTransferComplete(c.client, c.seq, cell_id);
-        }
-      };
-  // Resolve in client-id order: an exchange's response time runs until
-  // its own transfer and every attached carrier drained. Runs once per
-  // tick, after every cell's completions were recorded.
-  const auto resolve_pending = [&] {
-    if (!coalescing) return;
-    for (const auto& owned : states_) {
-      ClientState* state = owned.get();
-      while (!state->pending.empty() &&
-             state->pending.front().own_finish >= 0.0) {
-        ClientState::PendingExchange& ex = state->pending.front();
-        double finish = ex.own_finish;
-        bool ready = true;
-        for (const auto& carrier : ex.carriers) {
-          const auto fit = finish_at_.find(TransferKey{
-              carrier.cell, carrier.owner, carrier.transfer_seq});
-          if (fit == finish_at_.end()) {
-            ready = false;
-            break;
-          }
-          finish = std::max(finish, fit->second);
-        }
-        if (!ready) break;
-        const double response = finish - ex.submit_seconds;
-        state->metrics.total_response_seconds += response;
-        state->metrics.response_histogram.Add(response);
-        ++state->metrics.demand_exchanges;
-        state->pending.pop_front();
-      }
-    }
-  };
-
   while (!scheduler.empty()) {
     const int64_t tick = scheduler.NextMicros();
     const double tick_seconds = net::SimClock::ToSeconds(tick);
-    // Drain every cell up to this instant first: a transfer finishing at
-    // the tick edge completes before the tick's new submissions queue.
-    // The fluid drains are independent per cell, so they run on the pool;
-    // their completions are *booked* serially in cell-id order, keeping
-    // the result worker-count-invariant.
-    if (num_cells == 1) {
-      if (tick_seconds > cells_[0]->now()) {
-        record_completions(0,
-                           cells_[0]->Advance(tick_seconds - cells_[0]->now()));
-        resolve_pending();
-      }
-    } else {
-      std::vector<std::vector<net::SharedMediumLink::Completion>> done(
-          static_cast<size_t>(num_cells));
-      std::vector<std::function<void()>> advance_tasks;
-      for (int32_t k = 0; k < num_cells; ++k) {
-        if (tick_seconds <= cells_[k]->now()) continue;
-        advance_tasks.push_back([this, k, tick_seconds, &done] {
-          done[k] = cells_[k]->Advance(tick_seconds - cells_[k]->now());
-        });
-      }
-      pool.RunBatch(advance_tasks);
-      for (int32_t k = 0; k < num_cells; ++k) {
-        if (!done[k].empty()) record_completions(k, done[k]);
-      }
-      resolve_pending();
-      // Handover pre-phase: reroute clients before any of them steps.
-      RouteClients(tick_seconds);
-    }
+    DrainCells(tick_seconds, &pool);
+    // Handover pre-phase: reroute clients before any of them steps.
+    RouteClients(tick_seconds);
     scheduler.clock().AdvanceTo(tick_seconds);
-
     const std::vector<int32_t> due = scheduler.PopDue(tick);
-    // Phase A: all due clients step in parallel; each task touches only
-    // its own ClientState plus const shared structures.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(due.size());
-    for (const int32_t id : due) {
-      tasks.push_back([this, state = by_id_.at(id)] { StepClient(state); });
-    }
-    pool.RunBatch(tasks);
-    if (coalescing && hot_cache_.enabled()) {
-      // Phase A2 (serial): claim encode ownership per record in client-id
-      // order — of a tick's requesters, exactly the first encodes; the
-      // rest attach to its registration at commit time.
-      std::unordered_set<index::RecordId> tick_claims;
-      std::vector<std::function<void()>> encode_tasks;
-      for (const int32_t id : due) {
-        ClientState* state = by_id_.at(id);
-        for (const index::RecordId rec : state->encode_candidates) {
-          if (tick_claims.insert(rec).second) state->claimed.push_back(rec);
-        }
-        if (state->claimed.empty()) continue;
-        encode_tasks.push_back([this, state] {
-          for (const index::RecordId rec : state->claimed) {
-            state->hot_insert.emplace_back(
-                rec, server::EncodeRecords(system_.db(), {rec}));
-          }
-          state->encode_calls += static_cast<int64_t>(state->claimed.size());
-        });
-      }
-      // Phase A3 (parallel): the claimed encodings are the tick's actual
-      // serialization work, spread across the pool.
-      pool.RunBatch(encode_tasks);
-    }
-    // Phase B: commit shared side effects in ascending client id (PopDue
-    // returns ids sorted), then reschedule.
-    using Decision = server::AdmissionController::Decision;
-    for (const int32_t id : due) {
-      ClientState* state = by_id_.at(id);
-      server::AdmissionController& admission = *admission_[state->cell];
-      if (admission.enabled()) {
-        admission.Record(state->adm_request, state->adm_verdict);
-        if (state->adm_verdict.decision == Decision::kDefer) {
-          ++sessions_.GetOrCreate(id)->deferred_requests;
-        } else if (state->adm_verdict.decision == Decision::kShed) {
-          ++sessions_.GetOrCreate(id)->shed_requests;
-        }
-        // Close the QoS loop: backpressure verdicts climb the client's
-        // resolution ladder (serial phase, integer-microsecond input).
-        if (state->abr != nullptr &&
-            state->adm_verdict.decision != Decision::kAdmit) {
-          state->abr->OnBackpressure(
-              state->adm_verdict.decision == Decision::kShed
-                  ? qos::BackpressureKind::kShed
-                  : qos::BackpressureKind::kDefer,
-              tick);
-        }
-      }
-      if (state->adm_verdict.decision == Decision::kDefer) {
-        // The frame did not run; retry it after the backoff hint.
-        scheduler.Schedule(
-            tick + std::max<int64_t>(
-                       1, net::SimClock::ToMicros(
-                              state->adm_verdict.retry_after_seconds)),
-            id);
-        continue;
-      }
-      CommitClient(state);
-      if (motion_pools) {
-        system_.server().ObserveClientMotion(
-            id, state->tour[static_cast<size_t>(state->next_frame)].position);
-      }
-      ++state->next_frame;
-      if (state->next_frame < state->spec.frames) {
-        // A frame deferred past its successor's slot pushes the
-        // successor to strictly after this tick; on the regular cadence
-        // the max() is a no-op.
-        scheduler.Schedule(
-            std::max<int64_t>(
-                net::SimClock::ToMicros(state->spec.start_offset_seconds) +
-                    static_cast<int64_t>(state->next_frame) * frame_micros,
-                tick + 1),
-            id);
-      }
-    }
-    // Warm join first: the previous tick's speculative reads install
-    // before the interest refresh or the rebalancer touch the raw page
-    // stores.
-    if (warming && !due.empty()) {
-      system_.server().WarmPoolsJoin();
-    }
-    if (motion_pools && !due.empty()) {
-      system_.server().RefreshPoolInterest();
-    }
-    if (rebalance && !due.empty()) {
-      system_.server().TickRebalancer();
-    }
-    // Dispatch last: rank against the refreshed interest field and the
-    // settled shard layout; the reads overlap the next parallel phase.
-    if (warming && !due.empty()) {
-      system_.server().WarmPoolsDispatch();
-    }
-    if (num_cells == 1) {
-      peak_backlog = std::max(peak_backlog, cells_[0]->backlog_bytes());
-    } else {
-      for (int32_t k = 0; k < num_cells; ++k) {
-        const int64_t backlog = cells_[k]->backlog_bytes();
-        cell_stats_[k].peak_backlog_bytes =
-            std::max(cell_stats_[k].peak_backlog_bytes, backlog);
-        peak_backlog = std::max(peak_backlog, backlog);
-      }
-    }
+    StepDue(due, &pool);
+    ClaimAndEncode(due, &pool);
+    CommitDue(due, tick, &scheduler);
+    // The server's serial tick (DESIGN.md §4c) runs once per due-batch,
+    // after every committed frame's motion was observed.
+    if (!due.empty()) system_.server().Tick();
+    TrackBacklog();
   }
-  // Settle the trailing speculative batch so the pool counters the run
-  // reports are stable and deterministic.
-  if (warming) {
-    system_.server().WarmPoolsJoin();
-  }
+  system_.server().Quiesce();
   // Final drain, cell by cell in id order, then one last resolution pass
   // (a cross-cell carrier may finish after the waiting exchange's cell).
-  for (int32_t k = 0; k < num_cells; ++k) {
-    record_completions(k, cells_[k]->DrainAll());
+  for (int32_t k = 0; k < options_.cells; ++k) {
+    RecordCompletions(k, cells_[k]->DrainAll());
   }
-  resolve_pending();
+  ResolvePending();
+  return CollectResult();
+}
 
+void FleetEngine::RecordCompletions(
+    int32_t cell_id,
+    const std::vector<net::SharedMediumLink::Completion>& done) {
+  // ABR goodput samples: booked per completion in the same serial,
+  // cell-id-then-completion order as everything else, with the finish
+  // time quantized to integer microseconds — deterministic at any worker
+  // count. submitted_bytes_ is only populated while ABR is on, so this is
+  // free otherwise.
+  const auto feed_abr = [&](const net::SharedMediumLink::Completion& c) {
+    if (submitted_bytes_.empty()) return;
+    const auto bit =
+        submitted_bytes_.find(TransferKey{cell_id, c.client, c.seq});
+    if (bit == submitted_bytes_.end()) return;
+    ClientState* state = by_id_.at(c.client);
+    if (state->abr != nullptr) {
+      state->abr->OnDelivered(bit->second,
+                              net::SimClock::ToMicros(c.finish_seconds));
+    }
+    submitted_bytes_.erase(bit);
+  };
+  if (!inflight_.enabled()) {
+    for (const net::SharedMediumLink::Completion& c : done) {
+      feed_abr(c);
+      ClientState* state = by_id_.at(c.client);
+      // Delivery delay on the shared cell is the fleet's response time;
+      // each drained submission is one demand exchange. A transfer that
+      // was cancelled off a dead cell and re-issued reports the delay
+      // from its *original* submission.
+      double response = c.response_seconds;
+      if (!reissue_origin_.empty()) {
+        const auto rit =
+            reissue_origin_.find(TransferKey{cell_id, c.client, c.seq});
+        if (rit != reissue_origin_.end()) {
+          response = c.finish_seconds - rit->second;
+          reissue_origin_.erase(rit);
+        }
+      }
+      state->metrics.total_response_seconds += response;
+      state->metrics.response_histogram.Add(response);
+      ++state->metrics.demand_exchanges;
+    }
+    return;
+  }
+  for (const net::SharedMediumLink::Completion& c : done) {
+    feed_abr(c);
+    const TransferKey key{cell_id, c.client, c.seq};
+    if (!waiter_reissues_.empty() && waiter_reissues_.erase(key) > 0) {
+      // A stranded-waiter re-issue: it substitutes for a dead carrier, so
+      // it only needs a finish time — it is nobody's own transfer.
+      if (!finish_at_.emplace(key, c.finish_seconds).second) {
+        ++chaos_duplicates_;
+      }
+      continue;
+    }
+    ClientState* state = by_id_.at(c.client);
+    // Seqs are unique per (cell, client) and never reused, so the
+    // completion maps to exactly one pending exchange. Matching by seq —
+    // not by FIFO position — matters after a migration: a re-issued
+    // exchange takes a *later* seq on its new cell while keeping its
+    // *earlier* place in the deque, so deque order and per-cell
+    // completion order no longer agree.
+    const int64_t seq = c.seq;
+    auto it = std::find_if(
+        state->pending.begin(), state->pending.end(),
+        [cell_id, seq](const ClientState::PendingExchange& e) {
+          return e.cell == cell_id && e.seq == seq && e.own_finish < 0.0;
+        });
+    MARS_CHECK(it != state->pending.end());
+    it->own_finish = c.finish_seconds;
+    if (!finish_at_.emplace(key, it->own_finish).second) {
+      ++chaos_duplicates_;
+    }
+    // The carried payloads are delivered: retire the transfer's inflight
+    // entries so later requesters re-fetch (or hit the hot cache) instead
+    // of attaching to a drained carrier.
+    inflight_.OnTransferComplete(c.client, c.seq, cell_id);
+  }
+}
+
+void FleetEngine::ResolvePending() {
+  if (!inflight_.enabled()) return;
+  for (const auto& owned : states_) {
+    ClientState* state = owned.get();
+    while (!state->pending.empty() &&
+           state->pending.front().own_finish >= 0.0) {
+      ClientState::PendingExchange& ex = state->pending.front();
+      double finish = ex.own_finish;
+      bool ready = true;
+      for (const auto& carrier : ex.carriers) {
+        const auto fit = finish_at_.find(
+            TransferKey{carrier.cell, carrier.owner, carrier.transfer_seq});
+        if (fit == finish_at_.end()) {
+          ready = false;
+          break;
+        }
+        finish = std::max(finish, fit->second);
+      }
+      if (!ready) break;
+      const double response = finish - ex.submit_seconds;
+      state->metrics.total_response_seconds += response;
+      state->metrics.response_histogram.Add(response);
+      ++state->metrics.demand_exchanges;
+      state->pending.pop_front();
+    }
+  }
+}
+
+void FleetEngine::DrainCells(double tick_seconds, common::ThreadPool* pool) {
+  // Drain every cell up to this instant first: a transfer finishing at
+  // the tick edge completes before the tick's new submissions queue. The
+  // fluid drains are independent per cell, so they run on the pool; their
+  // completions are *booked* serially in cell-id order, keeping the result
+  // worker-count-invariant.
+  std::vector<std::vector<net::SharedMediumLink::Completion>> done(
+      cells_.size());
+  std::vector<std::function<void()>> advance_tasks;
+  for (int32_t k = 0; k < options_.cells; ++k) {
+    if (tick_seconds <= cells_[k]->now()) continue;
+    advance_tasks.push_back([this, k, tick_seconds, &done] {
+      done[k] = cells_[k]->Advance(tick_seconds - cells_[k]->now());
+    });
+  }
+  pool->RunBatch(advance_tasks);
+  for (int32_t k = 0; k < options_.cells; ++k) {
+    if (!done[k].empty()) RecordCompletions(k, done[k]);
+  }
+  ResolvePending();
+}
+
+void FleetEngine::StepDue(const std::vector<int32_t>& due,
+                          common::ThreadPool* pool) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(due.size());
+  for (const int32_t id : due) {
+    tasks.push_back([this, state = by_id_.at(id)] { StepClient(state); });
+  }
+  pool->RunBatch(tasks);
+}
+
+void FleetEngine::CommitDue(const std::vector<int32_t>& due, int64_t tick,
+                            VirtualScheduler* scheduler) {
+  using Decision = server::AdmissionController::Decision;
+  for (const int32_t id : due) {
+    ClientState* state = by_id_.at(id);
+    server::AdmissionController& admission = *admission_[state->cell];
+    if (admission.enabled()) {
+      admission.Record(state->adm_request, state->adm_verdict);
+      if (state->adm_verdict.decision == Decision::kDefer) {
+        ++sessions_.GetOrCreate(id)->deferred_requests;
+      } else if (state->adm_verdict.decision == Decision::kShed) {
+        ++sessions_.GetOrCreate(id)->shed_requests;
+      }
+      // Close the QoS loop: backpressure verdicts climb the client's
+      // resolution ladder (serial phase, integer-microsecond input).
+      if (state->abr != nullptr &&
+          state->adm_verdict.decision != Decision::kAdmit) {
+        state->abr->OnBackpressure(
+            state->adm_verdict.decision == Decision::kShed
+                ? qos::BackpressureKind::kShed
+                : qos::BackpressureKind::kDefer,
+            tick);
+      }
+    }
+    if (state->adm_verdict.decision == Decision::kDefer) {
+      // The frame did not run; retry it after the backoff hint.
+      scheduler->Schedule(
+          tick + std::max<int64_t>(
+                     1, net::SimClock::ToMicros(
+                            state->adm_verdict.retry_after_seconds)),
+          id);
+      continue;
+    }
+    CommitClient(state);
+    system_.server().ObserveClientMotion(
+        id, state->tour[static_cast<size_t>(state->next_frame)].position);
+    ++state->next_frame;
+    if (state->next_frame < state->spec.frames) {
+      // A frame deferred past its successor's slot pushes the successor
+      // to strictly after this tick; on the regular cadence the max() is
+      // a no-op.
+      scheduler->Schedule(
+          std::max<int64_t>(
+              net::SimClock::ToMicros(state->spec.start_offset_seconds) +
+                  static_cast<int64_t>(state->next_frame) * frame_micros_,
+              tick + 1),
+          id);
+    }
+  }
+}
+
+void FleetEngine::TrackBacklog() {
+  for (int32_t k = 0; k < options_.cells; ++k) {
+    const int64_t backlog = cells_[k]->backlog_bytes();
+    cell_stats_[k].peak_backlog_bytes =
+        std::max(cell_stats_[k].peak_backlog_bytes, backlog);
+    peak_backlog_ = std::max(peak_backlog_, backlog);
+  }
+}
+
+FleetResult FleetEngine::CollectResult() {
   FleetResult result;
   // Chaos invariants: counted first so a violated invariant is exported
   // (and FATALs) rather than silently folded into the totals.
   result.chaos_duplicate_deliveries = chaos_duplicates_;
-  if (coalescing) {
+  if (inflight_.enabled()) {
     // Every carrier has drained, so every coalesced exchange resolved
     // and every inflight entry was retired (or cancelled + re-issued).
     for (const auto& state : states_) {
@@ -934,30 +874,21 @@ FleetResult FleetEngine::Run() {
     result.deferred_exchanges += admission->deferred_requests();
     result.shed_exchanges += admission->shed_requests();
   }
-  result.peak_cell_backlog_bytes = peak_backlog;
-  if (num_cells == 1) {
-    // The strict single-cell passthrough: straight assignments, no sums.
-    result.cell_bytes = cells_[0]->total_bytes();
-    result.cell_retries = cells_[0]->total_retries();
-    result.cell_timeouts = cells_[0]->total_timeouts();
-    result.cell_outage_seconds = cells_[0]->total_outage_seconds();
-    result.virtual_seconds = cells_[0]->now();
-  } else {
-    result.cell_stats.reserve(static_cast<size_t>(num_cells));
-    for (int32_t k = 0; k < num_cells; ++k) {
-      FleetResult::CellStats stats = cell_stats_[k];
-      stats.bytes = cells_[k]->total_bytes();
-      stats.retries = cells_[k]->total_retries();
-      stats.timeouts = cells_[k]->total_timeouts();
-      stats.outage_seconds = cells_[k]->total_outage_seconds();
-      result.cell_bytes += stats.bytes;
-      result.cell_retries += stats.retries;
-      result.cell_timeouts += stats.timeouts;
-      result.cell_outage_seconds += stats.outage_seconds;
-      result.virtual_seconds =
-          std::max(result.virtual_seconds, cells_[k]->now());
-      result.cell_stats.push_back(stats);
-    }
+  result.peak_cell_backlog_bytes = peak_backlog_;
+  for (int32_t k = 0; k < options_.cells; ++k) {
+    FleetResult::CellStats stats = cell_stats_[k];
+    stats.bytes = cells_[k]->total_bytes();
+    stats.retries = cells_[k]->total_retries();
+    stats.timeouts = cells_[k]->total_timeouts();
+    stats.outage_seconds = cells_[k]->total_outage_seconds();
+    result.cell_bytes += stats.bytes;
+    result.cell_retries += stats.retries;
+    result.cell_timeouts += stats.timeouts;
+    result.cell_outage_seconds += stats.outage_seconds;
+    result.virtual_seconds = std::max(result.virtual_seconds, cells_[k]->now());
+    // Per-cell stats describe a multi-cell topology; one cell's are the
+    // fleet totals already.
+    if (options_.cells > 1) result.cell_stats.push_back(stats);
   }
   result.hot_cache_entries = hot_cache_.entries();
   result.hot_cache_bytes = hot_cache_.size_bytes();

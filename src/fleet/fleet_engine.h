@@ -23,7 +23,13 @@
 #include "server/session_table.h"
 #include "workload/tour.h"
 
+namespace mars::common {
+class ThreadPool;
+}  // namespace mars::common
+
 namespace mars::fleet {
+
+class VirtualScheduler;
 
 // Which client implementation a fleet member runs.
 enum class ClientKind {
@@ -252,38 +258,39 @@ struct FleetResult {
 // Runs N heterogeneous clients concurrently against ONE shared server and
 // ONE shared cell, in deterministic virtual time.
 //
-// Each tick the engine runs a two-phase step:
+// Each tick the engine runs these phases:
 //
 //   Phase A (parallel, thread pool): every client due at the tick first
 //   passes admission — a pure policy decision against the tick-frozen
 //   cell snapshot (deferred/shed clients stop here) — then steps: plans
 //   its queries, executes them against the const shared Server (sessions
 //   live in a striped SessionTable, one owner each), runs its private
-//   bearer's loss/retry model, probes the shared hot-encoding cache with
-//   read-only lookups, and encodes its cache misses. Nothing shared is
-//   mutated, so the phase is embarrassingly parallel.
+//   bearer's loss/retry model, and probes the shared hot-encoding cache
+//   with read-only lookups. Nothing shared is mutated, so the phase is
+//   embarrassingly parallel.
+//
+//   Phase A2 (serial, ascending client id): each cache miss is claimed
+//   for encoding. Phase A3 (parallel): the claimed encodings run on the
+//   pool — the tick's real serialization work.
 //
 //   Phase B (serial, ascending client id): admission verdicts are
 //   recorded (deferred frames are rescheduled after their backoff),
 //   hot-cache touches/inserts are committed, each client's successful
 //   wire bytes are submitted to the shared cell (weighted-fair-queued
 //   per ClientSpec::weight), and the client's next frame is scheduled.
-//   Then the cell advances to the next tick, attributing delivery delays
-//   to clients.
+//   Then the server runs its serial tick (Server::Tick), and the cell
+//   advances to the next tick, attributing delivery delays to clients.
 //
-// With coalescing enabled (FleetOptions::coalesce), two sub-phases slot
-// between A and B, preserving the discipline:
+// With coalescing enabled (FleetOptions::coalesce), the same phases
+// deduplicate work across clients:
 //
 //   Phase A additionally classifies each delivered record with a
 //   read-only InflightTable probe against the tick-frozen table — records
 //   already in flight skip the cache probe and the encode entirely.
 //
-//   Phase A2 (serial, ascending client id): each record missed by both
-//   the table and the cache is *claimed* by its lowest-id requester, so
-//   one tick encodes each record at most once fleet-wide.
-//
-//   Phase A3 (parallel): the claimed encodings run on the pool — this is
-//   the tick's real serialization work, now deduplicated.
+//   Phase A2 claims each record missed by both the table and the cache
+//   for its lowest-id requester only, so one tick encodes each record at
+//   most once fleet-wide.
 //
 //   Phase B then attaches each already-inflight record to its carrier
 //   (charging only an attach header per distinct carrier), registers the
@@ -315,8 +322,8 @@ struct FleetResult {
 // parallel across cells. Because every cross-client effect happens in a
 // serial phase in a fixed order, a fleet run is bit-identical at any
 // worker count: same seeds in, same per-client and aggregate metrics
-// out, whether workers=1 or 8 — and with cells=1 the engine is a strict
-// bit-identical passthrough of the single-cell era.
+// out, whether workers=1 or 8. One cell (the default) is the K = 1
+// instance of the same path: routing never moves a client.
 class FleetEngine {
  public:
   FleetEngine(const core::System& system, FleetOptions options,
@@ -348,13 +355,44 @@ class FleetEngine {
   using TransferKey = std::tuple<int32_t, int32_t, int64_t>;
 
   std::unique_ptr<ClientState> BuildState(const ClientSpec& spec);
+
+  // One tick's phases, in the order Run() calls them. Everything but the
+  // parallel batches inside DrainCells, StepDue and ClaimAndEncode runs on
+  // the engine thread.
+  //
+  // Advances every cell to the tick on the pool, then books the drained
+  // completions in cell-id order and resolves coalesced exchanges.
+  void DrainCells(double tick_seconds, common::ThreadPool* pool);
+  // Handover pre-phase: reassigns every client to the healthy cell
+  // covering its position and migrates in-flight state off dead cells.
+  // A no-op at K = 1.
+  void RouteClients(double tick_seconds);
+  // Phase A: the due clients step in parallel.
+  void StepDue(const std::vector<int32_t>& due, common::ThreadPool* pool);
+  // Phases A2 (serial claim) and A3 (parallel encode) of the due clients'
+  // hot-cache misses.
+  void ClaimAndEncode(const std::vector<int32_t>& due,
+                      common::ThreadPool* pool);
+  // Phase B: records admission verdicts, commits each due client's
+  // shared side effects in ascending id and schedules its next frame.
+  void CommitDue(const std::vector<int32_t>& due, int64_t tick,
+                 VirtualScheduler* scheduler);
+  // Folds every cell's backlog at the tick boundary into the peaks.
+  void TrackBacklog();
+  // Assembles the run's result once the cells have drained.
+  FleetResult CollectResult();
+
   void StepClient(ClientState* state);    // phase A (any worker thread)
   void CommitClient(ClientState* state);  // phase B (engine thread only)
   void FinishClient(ClientState* state);
-  // Handover pre-phase (serial, engine thread, K > 1 only): reassigns
-  // every client to the healthy cell covering its position and migrates
-  // in-flight state off dead cells.
-  void RouteClients(double tick_seconds);
+  // Books one cell's drained completions, in the cell's deterministic
+  // completion order (callers go in ascending cell id).
+  void RecordCompletions(
+      int32_t cell_id,
+      const std::vector<net::SharedMediumLink::Completion>& done);
+  // Resolves, in client-id order, every coalesced exchange whose own
+  // transfer and attached carriers have all drained.
+  void ResolvePending();
   // Re-submits `bytes` for `state` on its current cell and returns the
   // new transfer's key (handover migration bookkeeping).
   TransferKey Reissue(ClientState* state, int64_t bytes, double speed);
@@ -365,6 +403,8 @@ class FleetEngine {
   server::SessionTable sessions_;
   server::HotRecordCache hot_cache_;
   server::InflightTable inflight_;
+  // Virtual microseconds between a client's frames.
+  const int64_t frame_micros_;
   std::vector<std::unique_ptr<ClientState>> states_;
   // Id -> state lookup (built once in the constructor; states_ owns).
   std::unordered_map<int32_t, ClientState*> by_id_;
@@ -389,6 +429,7 @@ class FleetEngine {
   // goodput EWMA needs one (erased as each completion is booked).
   std::map<TransferKey, int64_t> submitted_bytes_;
   std::vector<FleetResult::CellStats> cell_stats_;
+  int64_t peak_backlog_ = 0;
   int64_t handovers_ = 0;
   int64_t failovers_ = 0;
   int64_t reissued_transfers_ = 0;

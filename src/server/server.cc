@@ -53,10 +53,6 @@ Server::Server(ObjectDatabase* db, Options options)
   mutable_db_ = db;
 }
 
-Server::Server(const ObjectDatabase* db, IndexKind kind,
-               index::RTreeOptions options)
-    : Server(db, Options{kind, options}) {}
-
 int32_t Server::AddObject(wavelet::MultiResMesh object) {
   MARS_CHECK(mutable_db_ != nullptr)
       << "AddObject requires the ingest-capable constructor";
@@ -158,6 +154,13 @@ void Server::RefreshPoolInterest() const {
     grid = interest_->Snapshot();
   }
   coeff_index_->UpdateInterest(grid);
+}
+
+void Server::Tick() const {
+  WarmPoolsJoin();
+  RefreshPoolInterest();
+  TickRebalancer();
+  WarmPoolsDispatch();
 }
 
 std::vector<RebalanceEvent> Server::TickRebalancer() const {

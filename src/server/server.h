@@ -132,10 +132,6 @@ class Server {
   // which append to `db`.
   Server(ObjectDatabase* db, Options options);
 
-  // Legacy construction, equivalent to Options{kind, options}.
-  Server(const ObjectDatabase* db, IndexKind kind,
-         index::RTreeOptions options = index::RTreeOptions());
-
   // Executes a batch of sub-queries as one exchange, filtering against
   // `session` (committed and pending records). The newly selected records
   // are added to the session's *pending* set; the caller acks them
@@ -205,37 +201,54 @@ class Server {
     return coeff_index_->PoolStats();
   }
 
-  // Motion-aware pool interest: active only with `--store disk --evict
-  // motion`. The serving path holds a const Server, so these are const
-  // with internally-locked mutable state; call them from serial phases
-  // only (the fleet's commit phase or the single-client frame loop).
-  bool motion_interest_enabled() const { return interest_ != nullptr; }
-  // Feeds a client's position into its server-side motion predictor.
+  // --- Serial tick (the server half of one serving step) -----------------
+
+  // Runs the server-side maintenance of one serving step, in the order
+  // the "Serial tick contract" (DESIGN.md §4c) fixes and explains:
+  //   1. WarmPoolsJoin — install the previous step's speculative reads
+  //      before anything else touches the raw page stores;
+  //   2. RefreshPoolInterest — fold the step's observed motion into the
+  //      pools' interest field;
+  //   3. TickRebalancer — split/merge shards off the settled counters;
+  //   4. WarmPoolsDispatch — rank the next speculative batch against the
+  //      refreshed field and the settled shard layout; its reads overlap
+  //      the queries the step then serves.
+  // Each step is a no-op when its feature is off. Serial phases only:
+  // once per frame in the single-client loop, once per due-batch in the
+  // fleet, after that step's ObserveClientMotion calls. The serving path
+  // holds a const Server, so the tick and the per-step methods below are
+  // const over internally-owned mutable state.
+  void Tick() const;
+  // The trailing join after the last Tick(): installs the final
+  // speculative batch so post-run pool counters are settled.
+  void Quiesce() const { WarmPoolsJoin(); }
+
+  // The per-step methods Tick() runs, public so a profiler can time each
+  // step on its own. Serial phases only.
+  //
+  // Motion-aware pool interest (`--store disk --evict motion`; otherwise
+  // no-ops). ObserveClientMotion feeds a client's position into its
+  // server-side predictor. It touches only the tracker, never the pools,
+  // so it may run before Tick(). RefreshPoolInterest recomputes the
+  // fleet-wide visit-probability field and installs it on every shard's
+  // buffer pool.
   void ObserveClientMotion(int32_t client_id,
                            const geometry::Vec2& position) const;
-  // Recomputes the fleet-wide visit-probability field and installs it on
-  // every shard's buffer pool.
   void RefreshPoolInterest() const;
 
   // Background pool warming (`--store disk --evict motion --warm on`):
-  // speculative page reads ahead of the fleet's predicted motion. Serial
-  // phases only, as a pair per tick — WarmPoolsJoin FIRST (installs the
-  // previous tick's reads before anything touches the raw page stores),
-  // WarmPoolsDispatch LAST (ranks against the just-refreshed interest
-  // field and the settled shard layout). See storage/pool_warmer.h.
+  // speculative page reads ahead of the fleet's predicted motion. See
+  // storage/pool_warmer.h.
   bool pool_warming_enabled() const {
     return coeff_index_->warming_enabled();
   }
   void WarmPoolsJoin() const { coeff_index_->WarmJoin(); }
   void WarmPoolsDispatch() const { coeff_index_->WarmDispatch(); }
 
-  // --- Load-adaptive shard rebalancing ------------------------------------
-
-  // Active only with Options::rebalance.enabled. Const like the
-  // motion-interest hooks (the serving path holds a const Server), but
-  // NOT internally locked: the rebalancer drives the index's
-  // single-writer split/merge surface, so TickRebalancer must only run
-  // in serial phases — exactly where CommitIngest may.
+  // Load-adaptive shard rebalancing (Options::rebalance.enabled). Not
+  // internally locked: the rebalancer drives the index's single-writer
+  // split/merge surface, so TickRebalancer must only run where
+  // CommitIngest may.
   bool rebalance_enabled() const { return rebalancer_ != nullptr; }
   // Advances the rebalancer one tick; returns the ops it applied (empty
   // on non-policy ticks or when disabled).
@@ -266,8 +279,8 @@ class Server {
   // Objects added but not yet committed into the object index.
   std::vector<int32_t> staged_objects_;
   // Set once in the constructor (disk + motion eviction only), then only
-  // read — motion_interest_enabled() needs no lock. The tracker's state
-  // is mutated through const methods, hence mutable + its own mutex.
+  // read, so the null check needs no lock. The tracker's state is
+  // mutated through const methods, hence mutable + its own mutex.
   mutable common::Mutex interest_mu_;
   mutable std::unique_ptr<MotionInterestTracker> interest_
       MARS_PT_GUARDED_BY(interest_mu_);

@@ -7,11 +7,11 @@
 #include "client/buffered_client.h"
 #include "client/continuous.h"
 #include "client/naive_client.h"
-#include "client/speed_map.h"
 #include "client/streaming_client.h"
 #include "client/viewport.h"
 #include "geometry/box.h"
 #include "net/link.h"
+#include "qos/resolution_policy.h"
 #include "server/server.h"
 #include "workload/scene.h"
 
@@ -24,28 +24,28 @@ using geometry::MakeBox2;
 // --- SpeedResolutionMap ------------------------------------------------------
 
 TEST(SpeedMapTest, DefaultIsIdentity) {
-  SpeedResolutionMap map;
+  qos::SpeedResolutionMap map;
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.0);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.5), 0.5);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
 }
 
 TEST(SpeedMapTest, ClampsOutOfRangeSpeeds) {
-  SpeedResolutionMap map;
+  qos::SpeedResolutionMap map;
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(-1.0), 0.0);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(2.5), 1.0);
 }
 
 TEST(SpeedMapTest, ExponentShapesCurve) {
-  SpeedResolutionMap sub_linear(0.5, 0.0);
-  SpeedResolutionMap super_linear(2.0, 0.0);
+  qos::SpeedResolutionMap sub_linear(0.5, 0.0);
+  qos::SpeedResolutionMap super_linear(2.0, 0.0);
   // Sub-linear exponent drops detail sooner (larger w_min at low speeds).
   EXPECT_GT(sub_linear.MapSpeedToResolution(0.25), 0.25);
   EXPECT_LT(super_linear.MapSpeedToResolution(0.25), 0.25);
 }
 
 TEST(SpeedMapTest, FloorCapsFinestResolution) {
-  SpeedResolutionMap map(1.0, 0.2);
+  qos::SpeedResolutionMap map(1.0, 0.2);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(0.0), 0.2);
   EXPECT_DOUBLE_EQ(map.MapSpeedToResolution(1.0), 1.0);
 }
@@ -188,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContinuousPropertyTest,
 TEST(SpeedMapTest, MonotoneInSpeed) {
   for (double exponent : {0.5, 1.0, 2.0}) {
     for (double floor : {0.0, 0.2}) {
-      SpeedResolutionMap map(exponent, floor);
+      qos::SpeedResolutionMap map(exponent, floor);
       double prev = -1.0;
       for (double s = 0.0; s <= 1.0; s += 0.05) {
         const double w = map.MapSpeedToResolution(s);
@@ -215,7 +215,8 @@ class ClientFixture : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
     server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+        db_.get(),
+        server::Server::Options{server::Server::IndexKind::kSupportRegion, {}});
     space_ = scene.space;
   }
 

@@ -427,7 +427,8 @@ class FaultE2ETest : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
     server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+        db_.get(),
+        server::Server::Options{server::Server::IndexKind::kSupportRegion, {}});
     space_ = scene.space;
   }
 

@@ -25,7 +25,8 @@ class ObjectStoreTest : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<server::ObjectDatabase>(std::move(*db));
     server_ = std::make_unique<server::Server>(
-        db_.get(), server::Server::IndexKind::kSupportRegion);
+        db_.get(),
+        server::Server::Options{server::Server::IndexKind::kSupportRegion, {}});
   }
 
   // Record ids of one object's base + coefficients with w >= w_min.

@@ -85,8 +85,8 @@ class ServerTest : public ::testing::Test {
     auto db = workload::GenerateScene(SmallScene());
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<ObjectDatabase>(std::move(*db));
-    server_ = std::make_unique<Server>(db_.get(),
-                                       Server::IndexKind::kSupportRegion);
+    server_ = std::make_unique<Server>(
+        db_.get(), Server::Options{Server::IndexKind::kSupportRegion, {}});
   }
 
   geometry::Box2 WindowAroundObject(int32_t obj) const {
@@ -271,8 +271,9 @@ TEST(ServerIndexKindTest, BothIndexesServeIdenticalResults) {
   auto db = workload::GenerateScene(SmallScene(11));
   ASSERT_TRUE(db.ok());
   ObjectDatabase database = std::move(*db);
-  Server support(&database, Server::IndexKind::kSupportRegion);
-  Server naive(&database, Server::IndexKind::kNaivePoint);
+  Server support(&database,
+                 Server::Options{Server::IndexKind::kSupportRegion, {}});
+  Server naive(&database, Server::Options{Server::IndexKind::kNaivePoint, {}});
 
   const geometry::Box2 window = geometry::MakeBox2(100, 100, 500, 500);
   for (double w_min : {0.0, 0.3, 0.8}) {
