@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -24,74 +25,82 @@ GroundScale GroundScale::FromRecords(
   return s;
 }
 
-namespace {
+// --- TreeCoefficientIndex --------------------------------------------------
 
-// Lifts a ground-plane window and a w-range into the normalized 3D
-// (x, y, w) key space.
-geometry::Box3 LiftWindow(const GroundScale& scale,
-                          const geometry::Box2& region, double w_min,
-                          double w_max) {
-  return geometry::Box3(
-      {scale.X(region.lo(0)), scale.Y(region.lo(1)), w_min},
-      {scale.X(region.hi(0)), scale.Y(region.hi(1)), w_max});
-}
+TreeCoefficientIndex::TreeCoefficientIndex(RTreeOptions options,
+                                           storage::BufferPool* pool)
+    : store_(options, pool) {}
 
-}  // namespace
-
-// --- SupportRegionIndex --------------------------------------------------
-
-SupportRegionIndex::SupportRegionIndex(RTreeOptions options)
-    : options_(options), tree_(options) {}
-
-void SupportRegionIndex::Build(const std::vector<CoeffRecord>& records) {
-  scale_ = GroundScale::FromRecords(records);
+void TreeCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
+  Derive(records);
   std::vector<RTree3::Entry> entries;
   entries.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    const CoeffRecord& r = records[i];
-    const geometry::Box3 key({scale_.X(r.support_bounds.lo(0)),
-                              scale_.Y(r.support_bounds.lo(1)), r.w},
-                             {scale_.X(r.support_bounds.hi(0)),
-                              scale_.Y(r.support_bounds.hi(1)), r.w});
-    entries.push_back({key, static_cast<int64_t>(i)});
+    entries.push_back({Key(records[i]), static_cast<int64_t>(i)});
   }
-  tree_ = RTree3::BulkLoad(std::move(entries), options_);
+  store_.Load(std::move(entries), scale_);
+}
+
+void TreeCoefficientIndex::Restore(const std::vector<CoeffRecord>& records,
+                                   const PagedTree3::Info& info) {
+  Derive(records);
+  store_.Attach(info);
+}
+
+void TreeCoefficientIndex::Derive(const std::vector<CoeffRecord>& records) {
+  scale_ = GroundScale::FromRecords(records);
+}
+
+geometry::Box3 TreeCoefficientIndex::LiftWindow(const geometry::Box2& region,
+                                                double w_min,
+                                                double w_max) const {
+  return geometry::Box3(
+      {scale_.X(region.lo(0)), scale_.Y(region.lo(1)), w_min},
+      {scale_.X(region.hi(0)), scale_.Y(region.hi(1)), w_max});
+}
+
+// --- SupportRegionIndex --------------------------------------------------
+
+SupportRegionIndex::SupportRegionIndex(RTreeOptions options,
+                                       storage::BufferPool* pool)
+    : TreeCoefficientIndex(options, pool) {}
+
+geometry::Box3 SupportRegionIndex::Key(const CoeffRecord& r) const {
+  return geometry::Box3({scale_.X(r.support_bounds.lo(0)),
+                         scale_.Y(r.support_bounds.lo(1)), r.w},
+                        {scale_.X(r.support_bounds.hi(0)),
+                         scale_.Y(r.support_bounds.hi(1)), r.w});
 }
 
 int64_t SupportRegionIndex::Query(const geometry::Box2& region, double w_min,
                                   double w_max,
                                   std::vector<RecordId>* out) const {
-  return tree_.Query(LiftWindow(scale_, region, w_min, w_max), out);
+  return store_.Query(LiftWindow(region, w_min, w_max), out);
 }
-
-int64_t SupportRegionIndex::node_accesses() const {
-  return tree_.stats().query_node_accesses;
-}
-
-void SupportRegionIndex::ResetStats() { tree_.ResetStats(); }
 
 // --- NaivePointIndex ------------------------------------------------------
 
-NaivePointIndex::NaivePointIndex(RTreeOptions options)
-    : options_(options), tree_(options) {}
+NaivePointIndex::NaivePointIndex(RTreeOptions options,
+                                 storage::BufferPool* pool)
+    : TreeCoefficientIndex(options, pool) {}
 
-void NaivePointIndex::Build(const std::vector<CoeffRecord>& records) {
+void NaivePointIndex::Derive(const std::vector<CoeffRecord>& records) {
+  TreeCoefficientIndex::Derive(records);
   records_ = &records;
-  scale_ = GroundScale::FromRecords(records);
-  std::vector<RTree3::Entry> entries;
-  entries.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const CoeffRecord& r = records[i];
-    const geometry::Box3 key(
-        {scale_.X(r.position.x), scale_.Y(r.position.y), r.w},
-        {scale_.X(r.position.x), scale_.Y(r.position.y), r.w});
-    entries.push_back({key, static_cast<int64_t>(i)});
-    max_extent_x_ = std::max(
-        max_extent_x_, r.support_bounds.Extent(0) * scale_.scale_x);
-    max_extent_y_ = std::max(
-        max_extent_y_, r.support_bounds.Extent(1) * scale_.scale_y);
+  max_extent_x_ = 0.0;
+  max_extent_y_ = 0.0;
+  for (const CoeffRecord& r : records) {
+    max_extent_x_ = std::max(max_extent_x_,
+                             r.support_bounds.Extent(0) * scale_.scale_x);
+    max_extent_y_ = std::max(max_extent_y_,
+                             r.support_bounds.Extent(1) * scale_.scale_y);
   }
-  tree_ = RTree3::BulkLoad(std::move(entries), options_);
+}
+
+geometry::Box3 NaivePointIndex::Key(const CoeffRecord& r) const {
+  return geometry::Box3(
+      {scale_.X(r.position.x), scale_.Y(r.position.y), r.w},
+      {scale_.X(r.position.x), scale_.Y(r.position.y), r.w});
 }
 
 int64_t NaivePointIndex::Query(const geometry::Box2& region, double w_min,
@@ -103,21 +112,21 @@ int64_t NaivePointIndex::Query(const geometry::Box2& region, double w_min,
   // window. These results alone are insufficient for rendering; they only
   // reveal which neighbourhoods must be fetched, so the work is repeated
   // below over the extended region.
+  const geometry::Box3 window = LiftWindow(region, w_min, w_max);
   std::vector<int64_t> first_pass;
-  int64_t accesses =
-      tree_.Query(LiftWindow(scale_, region, w_min, w_max), &first_pass);
+  int64_t accesses = store_.Query(window, &first_pass);
 
   // Pass 2: re-execute over the extended region that covers every possible
   // neighbouring vertex, then keep the records whose support region
   // actually touches the original window.
-  geometry::Box3 extended = LiftWindow(scale_, region, w_min, w_max);
+  geometry::Box3 extended = window;
   extended.set_lo(0, extended.lo(0) - max_extent_x_);
   extended.set_hi(0, extended.hi(0) + max_extent_x_);
   extended.set_lo(1, extended.lo(1) - max_extent_y_);
   extended.set_hi(1, extended.hi(1) + max_extent_y_);
 
   std::vector<int64_t> second_pass;
-  accesses += tree_.Query(extended, &second_pass);
+  accesses += store_.Query(extended, &second_pass);
 
   for (int64_t id : second_pass) {
     const CoeffRecord& rec = (*records_)[id];
@@ -130,12 +139,6 @@ int64_t NaivePointIndex::Query(const geometry::Box2& region, double w_min,
   }
   return accesses;
 }
-
-int64_t NaivePointIndex::node_accesses() const {
-  return tree_.stats().query_node_accesses;
-}
-
-void NaivePointIndex::ResetStats() { tree_.ResetStats(); }
 
 // --- SupportRegionIndex4D ---------------------------------------------------
 

@@ -6,9 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "geometry/box.h"
+#include "index/paged_index.h"
 #include "index/record.h"
 #include "index/rtree.h"
+#include "storage/buffer_pool.h"
 
 namespace mars::index {
 
@@ -57,26 +60,66 @@ struct GroundScale {
   double Y(double y) const { return (y - off_y) * scale_y; }
 };
 
+// The two strategies of paper Sec. VI, each over one (x, y, w) R*-tree.
+// They differ only in the key a record gets and in how a window is
+// answered. What they share lives here once: the ground normalization,
+// the window lift, and the node store (TreeStore3) — the STR-loaded tree
+// kept in RAM, or written through a buffer pool as pages when the
+// constructor is given one. The persist surface serves the sharded index's
+// disk mode; in memory it has nothing to persist.
+class TreeCoefficientIndex : public CoefficientIndex {
+ public:
+  void Build(const std::vector<CoeffRecord>& records) final;
+  int64_t node_accesses() const final { return store_.node_accesses(); }
+  void ResetStats() final { store_.ResetStats(); }
+
+  // Where the tree's pages live (page store).
+  PagedTree3::Info tree_info() const { return store_.tree_info(); }
+
+  // Attaches to the tree an earlier Build over the same `records` wrote
+  // to the pool, instead of rebuilding; the derived state (normalization,
+  // extents) is recomputed by the function Build uses.
+  void Restore(const std::vector<CoeffRecord>& records,
+               const PagedTree3::Info& info);
+
+  // Returns the tree's pages to the store's freelist (epoch retire); a
+  // no-op in memory.
+  common::Status FreePages() { return store_.FreePages(); }
+
+ protected:
+  TreeCoefficientIndex(RTreeOptions options, storage::BufferPool* pool);
+
+  // Recomputes the state derived from the record table: the ground
+  // normalization here, plus whatever a strategy adds.
+  virtual void Derive(const std::vector<CoeffRecord>& records);
+
+  // The strategy's R*-tree key for `record`, in normalized coordinates.
+  virtual geometry::Box3 Key(const CoeffRecord& record) const = 0;
+
+  // Lifts a ground-plane window and a w-range into the normalized
+  // (x, y, w) key space.
+  geometry::Box3 LiftWindow(const geometry::Box2& region, double w_min,
+                            double w_max) const;
+
+  GroundScale scale_;
+  TreeStore3 store_;
+};
+
 // The paper's proposed index (Sec. VI-B): a 3D (x, y, w) R*-tree over the
 // support-region MBBs of the coefficients, exactly as in the experimental
 // study (Sec. VII-D). One traversal returns the minimal required set.
-class SupportRegionIndex : public CoefficientIndex {
+class SupportRegionIndex : public TreeCoefficientIndex {
  public:
-  explicit SupportRegionIndex(RTreeOptions options = RTreeOptions());
+  // `pool` (optional) selects the page store; it must outlive the index.
+  explicit SupportRegionIndex(RTreeOptions options = RTreeOptions(),
+                              storage::BufferPool* pool = nullptr);
 
-  void Build(const std::vector<CoeffRecord>& records) override;
   int64_t Query(const geometry::Box2& region, double w_min, double w_max,
                 std::vector<RecordId>* out) const override;
-  int64_t node_accesses() const override;
-  void ResetStats() override;
   std::string name() const override { return "support-region"; }
 
-  const RTree3& tree() const { return tree_; }
-
  private:
-  RTreeOptions options_;
-  RTree3 tree_;
-  GroundScale scale_;
+  geometry::Box3 Key(const CoeffRecord& record) const override;
 };
 
 // The straightforward access method the paper argues against (Sec. VI): a
@@ -90,21 +133,20 @@ class SupportRegionIndex : public CoefficientIndex {
 // the paper's per-result bounding region (any record whose support box
 // intersects R has its vertex within that distance of R), so both
 // strategies provably return the same required set.
-class NaivePointIndex : public CoefficientIndex {
+class NaivePointIndex : public TreeCoefficientIndex {
  public:
-  explicit NaivePointIndex(RTreeOptions options = RTreeOptions());
+  // `pool` (optional) selects the page store; it must outlive the index.
+  explicit NaivePointIndex(RTreeOptions options = RTreeOptions(),
+                           storage::BufferPool* pool = nullptr);
 
-  void Build(const std::vector<CoeffRecord>& records) override;
   int64_t Query(const geometry::Box2& region, double w_min, double w_max,
                 std::vector<RecordId>* out) const override;
-  int64_t node_accesses() const override;
-  void ResetStats() override;
   std::string name() const override { return "naive-point"; }
 
  private:
-  RTreeOptions options_;
-  RTree3 tree_;
-  GroundScale scale_;
+  void Derive(const std::vector<CoeffRecord>& records) override;
+  geometry::Box3 Key(const CoeffRecord& record) const override;
+
   const std::vector<CoeffRecord>* records_ = nullptr;
   // Maximum support extents in normalized coordinates.
   double max_extent_x_ = 0.0;

@@ -1,10 +1,10 @@
 #include "index/paged_index.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/serialize.h"
+#include "index/access.h"
 
 namespace mars::index {
 namespace {
@@ -27,16 +27,6 @@ common::Status ReadBox3(common::ByteReader* r, geometry::Box3* box) {
   for (double& v : hi) MARS_RETURN_IF_ERROR(r->ReadDouble(&v));
   *box = geometry::Box3({lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]});
   return common::OkStatus();
-}
-
-// Same lift as access.cc: ground window + w range into the normalized
-// (x, y, w) key space.
-geometry::Box3 LiftWindow(const GroundScale& scale,
-                          const geometry::Box2& region, double w_min,
-                          double w_max) {
-  return geometry::Box3(
-      {scale.X(region.lo(0)), scale.Y(region.lo(1)), w_min},
-      {scale.X(region.hi(0)), scale.Y(region.hi(1)), w_max});
 }
 
 // Un-normalizes a node MBR's ground footprint back to world coordinates
@@ -83,16 +73,10 @@ common::Status PagedTree3::Write(const RTree3& tree,
     pool_->SetPageRegion(id, GroundRegion(scale, node.mbr));
     page_of[i] = id;
   }
-  root_ = page_of.empty() ? storage::kInvalidPage : page_of[0];
-  height_ = tree.height();
-  size_ = tree.size();
+  info_.root = page_of.empty() ? storage::kInvalidPage : page_of[0];
+  info_.height = tree.height();
+  info_.size = tree.size();
   return common::OkStatus();
-}
-
-void PagedTree3::Attach(storage::PageId root, int32_t height, int64_t size) {
-  root_ = root;
-  height_ = height;
-  size_ = size;
 }
 
 common::Status PagedTree3::QueryPage(storage::PageId id,
@@ -124,9 +108,9 @@ common::Status PagedTree3::QueryPage(storage::PageId id,
 
 int64_t PagedTree3::Query(const geometry::Box3& window,
                           std::vector<int64_t>* out) const {
-  if (root_ == storage::kInvalidPage) return 0;
+  if (info_.root == storage::kInvalidPage) return 0;
   int64_t accesses = 0;
-  const common::Status status = QueryPage(root_, window, out, &accesses);
+  const common::Status status = QueryPage(info_.root, window, out, &accesses);
   // Pages were validated (checksummed) when the tree was written or
   // restored; a failure here means the store broke underneath a live
   // index, which has no recovery short of a rebuild.
@@ -136,8 +120,8 @@ int64_t PagedTree3::Query(const geometry::Box3& window,
 }
 
 common::Status PagedTree3::FreePages() {
-  if (root_ == storage::kInvalidPage) return common::OkStatus();
-  std::vector<storage::PageId> stack = {root_};
+  if (info_.root == storage::kInvalidPage) return common::OkStatus();
+  std::vector<storage::PageId> stack = {info_.root};
   while (!stack.empty()) {
     const storage::PageId id = stack.back();
     stack.pop_back();
@@ -159,126 +143,49 @@ common::Status PagedTree3::FreePages() {
     }
     MARS_RETURN_IF_ERROR(pool_->Erase(id));
   }
-  root_ = storage::kInvalidPage;
-  height_ = 0;
-  size_ = 0;
+  info_ = Info();
   return common::OkStatus();
 }
 
-// --- PagedSupportRegionIndex ---------------------------------------------
+// --- TreeStore3 ------------------------------------------------------------
 
-PagedSupportRegionIndex::PagedSupportRegionIndex(RTreeOptions options,
-                                                 storage::BufferPool* pool)
-    : options_(options), paged_(pool) {}
+TreeStore3::TreeStore3(RTreeOptions options, storage::BufferPool* pool)
+    : tree_(options) {
+  if (pool != nullptr) pages_.emplace(pool);
+}
 
-void PagedSupportRegionIndex::Build(const std::vector<CoeffRecord>& records) {
-  scale_ = GroundScale::FromRecords(records);
-  std::vector<RTree3::Entry> entries;
-  entries.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const CoeffRecord& r = records[i];
-    const geometry::Box3 key({scale_.X(r.support_bounds.lo(0)),
-                              scale_.Y(r.support_bounds.lo(1)), r.w},
-                             {scale_.X(r.support_bounds.hi(0)),
-                              scale_.Y(r.support_bounds.hi(1)), r.w});
-    entries.push_back({key, static_cast<int64_t>(i)});
+void TreeStore3::Load(std::vector<RTree3::Entry> entries,
+                      const GroundScale& scale) {
+  RTree3 tree = RTree3::BulkLoad(std::move(entries), tree_.options());
+  if (!pages_) {
+    tree_ = std::move(tree);
+    return;
   }
-  const RTree3 tree = RTree3::BulkLoad(std::move(entries), options_);
-  const common::Status status = paged_.Write(tree, scale_);
+  const common::Status status = pages_->Write(tree, scale);
   MARS_CHECK(status.ok()) << "paged build failed: " << status.ToString();
 }
 
-int64_t PagedSupportRegionIndex::Query(const geometry::Box2& region,
-                                       double w_min, double w_max,
-                                       std::vector<RecordId>* out) const {
-  return paged_.Query(LiftWindow(scale_, region, w_min, w_max), out);
+int64_t TreeStore3::node_accesses() const {
+  return pages_ ? pages_->node_accesses()
+                : tree_.stats().query_node_accesses.load();
 }
 
-PagedCoefficientIndex::TreeInfo PagedSupportRegionIndex::tree_info() const {
-  return TreeInfo{paged_.root(), paged_.height(), paged_.size()};
+void TreeStore3::ResetStats() {
+  tree_.ResetStats();
+  if (pages_) pages_->ResetStats();
 }
 
-common::Status PagedSupportRegionIndex::Restore(
-    const std::vector<CoeffRecord>& records, const TreeInfo& info) {
-  scale_ = GroundScale::FromRecords(records);
-  paged_.Attach(info.root, info.height, info.size);
-  return common::OkStatus();
+PagedTree3::Info TreeStore3::tree_info() const {
+  return pages_ ? pages_->info() : PagedTree3::Info();
 }
 
-// --- PagedNaivePointIndex ------------------------------------------------
-
-PagedNaivePointIndex::PagedNaivePointIndex(RTreeOptions options,
-                                           storage::BufferPool* pool)
-    : options_(options), paged_(pool) {}
-
-void PagedNaivePointIndex::DeriveFromRecords(
-    const std::vector<CoeffRecord>& records) {
-  records_ = &records;
-  scale_ = GroundScale::FromRecords(records);
-  max_extent_x_ = 0.0;
-  max_extent_y_ = 0.0;
-  for (const CoeffRecord& r : records) {
-    max_extent_x_ = std::max(max_extent_x_,
-                             r.support_bounds.Extent(0) * scale_.scale_x);
-    max_extent_y_ = std::max(max_extent_y_,
-                             r.support_bounds.Extent(1) * scale_.scale_y);
-  }
+void TreeStore3::Attach(const PagedTree3::Info& info) {
+  MARS_CHECK(pages_.has_value()) << "Attach needs the page store";
+  pages_->Attach(info);
 }
 
-void PagedNaivePointIndex::Build(const std::vector<CoeffRecord>& records) {
-  DeriveFromRecords(records);
-  std::vector<RTree3::Entry> entries;
-  entries.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const CoeffRecord& r = records[i];
-    const geometry::Box3 key(
-        {scale_.X(r.position.x), scale_.Y(r.position.y), r.w},
-        {scale_.X(r.position.x), scale_.Y(r.position.y), r.w});
-    entries.push_back({key, static_cast<int64_t>(i)});
-  }
-  const RTree3 tree = RTree3::BulkLoad(std::move(entries), options_);
-  const common::Status status = paged_.Write(tree, scale_);
-  MARS_CHECK(status.ok()) << "paged build failed: " << status.ToString();
-}
-
-int64_t PagedNaivePointIndex::Query(const geometry::Box2& region,
-                                    double w_min, double w_max,
-                                    std::vector<RecordId>* out) const {
-  MARS_CHECK(records_ != nullptr) << "Query before Build";
-  std::vector<int64_t> first_pass;
-  int64_t accesses =
-      paged_.Query(LiftWindow(scale_, region, w_min, w_max), &first_pass);
-
-  geometry::Box3 extended = LiftWindow(scale_, region, w_min, w_max);
-  extended.set_lo(0, extended.lo(0) - max_extent_x_);
-  extended.set_hi(0, extended.hi(0) + max_extent_x_);
-  extended.set_lo(1, extended.lo(1) - max_extent_y_);
-  extended.set_hi(1, extended.hi(1) + max_extent_y_);
-
-  std::vector<int64_t> second_pass;
-  accesses += paged_.Query(extended, &second_pass);
-
-  for (int64_t id : second_pass) {
-    const CoeffRecord& rec = (*records_)[id];
-    const geometry::Box2 support2(
-        {rec.support_bounds.lo(0), rec.support_bounds.lo(1)},
-        {rec.support_bounds.hi(0), rec.support_bounds.hi(1)});
-    if (support2.Intersects(region)) {
-      out->push_back(id);
-    }
-  }
-  return accesses;
-}
-
-PagedCoefficientIndex::TreeInfo PagedNaivePointIndex::tree_info() const {
-  return TreeInfo{paged_.root(), paged_.height(), paged_.size()};
-}
-
-common::Status PagedNaivePointIndex::Restore(
-    const std::vector<CoeffRecord>& records, const TreeInfo& info) {
-  DeriveFromRecords(records);
-  paged_.Attach(info.root, info.height, info.size);
-  return common::OkStatus();
+common::Status TreeStore3::FreePages() {
+  return pages_ ? pages_->FreePages() : common::OkStatus();
 }
 
 }  // namespace mars::index

@@ -2,29 +2,36 @@
 #define MARS_INDEX_PAGED_INDEX_H_
 
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "geometry/box.h"
-#include "index/access.h"
-#include "index/record.h"
 #include "index/rtree.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 
 namespace mars::index {
 
+struct GroundScale;  // index/access.h
+
 // R*-tree node storage on pages: the tree is STR-bulk-loaded in RAM exactly
-// as the in-memory access methods build it, then flattened and written one
-// node per logical page array (children referenced by page id instead of
-// pointer). Queries traverse by page id through a BufferPool, so the
-// paper's query_node_accesses metric becomes real page fetches with a
-// hit/miss split — while visiting exactly the nodes the pointer-chasing
-// traversal would, keeping node-access counts bit-identical to `--store
-// memory`.
+// as the in-memory store keeps it, then flattened and written one node per
+// logical page array (children referenced by page id instead of pointer).
+// Queries traverse by page id through a BufferPool, so the paper's
+// query_node_accesses metric becomes real page fetches with a hit/miss
+// split — while visiting exactly the nodes the pointer-chasing traversal
+// would, keeping node-access counts bit-identical to `--store memory`.
 class PagedTree3 {
  public:
+  // Where a written tree lives: persisted by the caller so a restart can
+  // Attach instead of rebuilding.
+  struct Info {
+    storage::PageId root = storage::kInvalidPage;
+    int32_t height = 0;
+    int64_t size = 0;
+  };
+
   // `pool` must outlive this object.
   explicit PagedTree3(storage::BufferPool* pool) : pool_(pool) {}
 
@@ -34,8 +41,8 @@ class PagedTree3 {
   common::Status Write(const RTree3& tree, const GroundScale& scale);
 
   // Re-attaches to a tree previously written to the same store (restart
-  // path); the caller supplies the directory-recorded metadata.
-  void Attach(storage::PageId root, int32_t height, int64_t size);
+  // path).
+  void Attach(const Info& info) { info_ = info; }
 
   // Appends values of entries intersecting `window`, visiting exactly the
   // pages the in-memory traversal would visit nodes. Returns this call's
@@ -46,9 +53,7 @@ class PagedTree3 {
   // Returns every page of the tree to the store's freelist (epoch retire).
   common::Status FreePages();
 
-  storage::PageId root() const { return root_; }
-  int32_t height() const { return height_; }
-  int64_t size() const { return size_; }
+  const Info& info() const { return info_; }
   int64_t node_accesses() const { return accesses_; }
   void ResetStats() { accesses_ = 0; }
 
@@ -58,88 +63,51 @@ class PagedTree3 {
                            int64_t* accesses) const;
 
   storage::BufferPool* pool_;
-  storage::PageId root_ = storage::kInvalidPage;
-  int32_t height_ = 0;
-  int64_t size_ = 0;
+  Info info_;
   mutable RelaxedCounter accesses_;
 };
 
-// CoefficientIndex whose nodes live on pages. Adds the persist/restore and
-// page-lifecycle surface the sharded index needs for `--store disk`.
-class PagedCoefficientIndex : public CoefficientIndex {
+// Node storage of one coefficient access method. Load bulk-loads the
+// method's keys into an RTree3, then either keeps that tree in RAM and
+// queries it by pointer (no pool), or writes it through the pool as pages
+// and queries those (PagedTree3). Both traversals visit the same nodes, so
+// results and node accesses are identical in the two stores. Passing a
+// pool at construction is the whole choice.
+class TreeStore3 {
  public:
-  struct TreeInfo {
-    storage::PageId root = storage::kInvalidPage;
-    int32_t height = 0;
-    int64_t size = 0;
-  };
+  // `pool` may be null (memory store); otherwise it must outlive this
+  // object.
+  TreeStore3(RTreeOptions options, storage::BufferPool* pool);
 
-  virtual TreeInfo tree_info() const = 0;
+  // Replaces the stored tree with one STR-bulk-loaded over `entries`,
+  // whose keys `scale` normalized (the page store registers each page's
+  // world-coordinate ground region with the pool).
+  void Load(std::vector<RTree3::Entry> entries, const GroundScale& scale);
 
-  // Attaches to a persisted tree instead of rebuilding: derived state
-  // (normalization, extents) is recomputed deterministically from
-  // `records`, which must be the same table the tree was built from.
-  virtual common::Status Restore(const std::vector<CoeffRecord>& records,
-                                 const TreeInfo& info) = 0;
+  int64_t Query(const geometry::Box3& window, std::vector<int64_t>* out) const {
+    return pages_ ? pages_->Query(window, out) : tree_.Query(window, out);
+  }
 
-  // Frees the tree's pages (the destructor intentionally does not: pages
-  // must survive shutdown for restart-from-disk).
-  virtual common::Status FreePages() = 0;
-};
+  // Node accesses accumulated by queries since the last ResetStats().
+  int64_t node_accesses() const;
+  void ResetStats();
 
-// Paged twin of SupportRegionIndex (paper Sec. VI-B): identical build keys,
-// identical traversal, nodes on pages.
-class PagedSupportRegionIndex : public PagedCoefficientIndex {
- public:
-  PagedSupportRegionIndex(RTreeOptions options, storage::BufferPool* pool);
+  // --- Persist surface (page store; the memory store has nothing on disk)
 
-  void Build(const std::vector<CoeffRecord>& records) override;
-  int64_t Query(const geometry::Box2& region, double w_min, double w_max,
-                std::vector<RecordId>* out) const override;
-  int64_t node_accesses() const override { return paged_.node_accesses(); }
-  void ResetStats() override { paged_.ResetStats(); }
-  std::string name() const override { return "support-region"; }
-
-  TreeInfo tree_info() const override;
-  common::Status Restore(const std::vector<CoeffRecord>& records,
-                         const TreeInfo& info) override;
-  common::Status FreePages() override { return paged_.FreePages(); }
+  // Where the paged tree lives; default Info in the memory store.
+  PagedTree3::Info tree_info() const;
+  // Attaches to a tree an earlier Load wrote through the same pool's store.
+  void Attach(const PagedTree3::Info& info);
+  // Returns the paged tree's pages to the freelist; a no-op in memory. The
+  // destructor intentionally frees nothing: pages must survive shutdown
+  // for restart-from-disk.
+  common::Status FreePages();
 
  private:
-  RTreeOptions options_;
-  PagedTree3 paged_;
-  GroundScale scale_;
-};
-
-// Paged twin of NaivePointIndex: same two-pass query over vertex positions
-// with the extended-region re-execution and support post-filter.
-class PagedNaivePointIndex : public PagedCoefficientIndex {
- public:
-  PagedNaivePointIndex(RTreeOptions options, storage::BufferPool* pool);
-
-  void Build(const std::vector<CoeffRecord>& records) override;
-  int64_t Query(const geometry::Box2& region, double w_min, double w_max,
-                std::vector<RecordId>* out) const override;
-  int64_t node_accesses() const override { return paged_.node_accesses(); }
-  void ResetStats() override { paged_.ResetStats(); }
-  std::string name() const override { return "naive-point"; }
-
-  TreeInfo tree_info() const override;
-  common::Status Restore(const std::vector<CoeffRecord>& records,
-                         const TreeInfo& info) override;
-  common::Status FreePages() override { return paged_.FreePages(); }
-
- private:
-  // Normalization and extents derived from the record table; shared by
-  // Build and Restore so both paths agree bit-for-bit.
-  void DeriveFromRecords(const std::vector<CoeffRecord>& records);
-
-  RTreeOptions options_;
-  PagedTree3 paged_;
-  GroundScale scale_;
-  const std::vector<CoeffRecord>* records_ = nullptr;
-  double max_extent_x_ = 0.0;
-  double max_extent_y_ = 0.0;
+  // Memory store; in the page store it stays empty and only carries the
+  // options Load bulk-loads with.
+  RTree3 tree_;
+  std::optional<PagedTree3> pages_;  // page store: engaged iff a pool
 };
 
 }  // namespace mars::index

@@ -105,12 +105,11 @@ common::Status DecodeDirectory(const std::vector<uint8_t>& bytes,
 // rebalancer's splits/merges before partitioning (and therefore restores
 // the split-allocated shards' trees instead of rebuilding everything).
 constexpr uint64_t kMapMagic = 0x50414d53524d3144ull;  // "D1MRSMAP" LE
-// Version 1 stored the raw refinement list and replayed it through
-// ApplySplit/ApplyMerge, whose next-unallocated-id check requires split
-// targets in allocation order. Version 2 additionally stores the
-// allocation high-water mark (total_shards), because a compacted list
-// (ShardMap::Compact) may drop or re-target the very splits that
-// allocated ids later ops still reference. Both versions decode.
+// Version 2 stores the allocation high-water mark (total_shards) next to
+// the refinement list, because a compacted list (ShardMap::Compact) may
+// drop or re-target the very splits that allocated ids later ops still
+// reference. Any other version fails to decode, and the build falls back
+// to the base grid.
 constexpr uint32_t kMapVersion = 2;
 
 std::vector<uint8_t> EncodeShardMap(const ShardMap& map, int32_t base_shards) {
@@ -152,7 +151,7 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
     return common::InternalError("shard map sidecar: bad magic");
   }
   MARS_RETURN_IF_ERROR(r.ReadU32(&version));
-  if (version != 1 && version != kMapVersion) {
+  if (version != kMapVersion) {
     return common::InternalError("shard map sidecar: unsupported version");
   }
   int32_t stored_shards = 0;
@@ -161,12 +160,10 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
     return common::FailedPreconditionError(
         "shard map sidecar: base shard count changed");
   }
-  int32_t total_shards = base_shards;
-  if (version >= 2) {
-    MARS_RETURN_IF_ERROR(r.ReadI32(&total_shards));
-    if (total_shards < base_shards || total_shards > 1'000'000) {
-      return common::InternalError("shard map sidecar: bad total shards");
-    }
+  int32_t total_shards = 0;
+  MARS_RETURN_IF_ERROR(r.ReadI32(&total_shards));
+  if (total_shards < base_shards || total_shards > 1'000'000) {
+    return common::InternalError("shard map sidecar: bad total shards");
   }
   uint8_t empty = 0;
   MARS_RETURN_IF_ERROR(r.ReadU8(&empty));
@@ -212,29 +209,9 @@ common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
     }
     ops.push_back(op);
   }
-  if (version == 1) {
-    // Replay in list order — ApplySplit's next-unallocated-id check holds
-    // by construction, and re-checks here against a hand-edited file.
-    for (const ShardMap::Refinement& op : ops) {
-      if (op.kind == ShardMap::Refinement::Kind::kSplit) {
-        if (op.target != map->total_shards()) {
-          return common::InternalError(
-              "shard map sidecar: split target out of order");
-        }
-        map->ApplySplit(op.shard, op.axis, op.threshold, op.target);
-      } else {
-        if (op.shard >= map->total_shards() ||
-            op.target >= map->total_shards() || op.shard == op.target) {
-          return common::InternalError("shard map sidecar: bad merge");
-        }
-        map->ApplyMerge(op.shard, op.target);
-      }
-    }
-    return common::OkStatus();
-  }
-  // Version 2: a compacted list does not replay through the append-only
-  // surface (its split targets may be out of allocation order, or point
-  // at existing ids after a forward collapse). Bounds-check every op
+  // A compacted list does not replay through the append-only surface
+  // (its split targets may be out of allocation order, or point at
+  // existing ids after a forward collapse). Bounds-check every op
   // against the stored high-water mark and install the list verbatim —
   // any in-bounds list routes safely, because Route only ever follows op
   // targets and every target is below total_shards.
@@ -276,24 +253,14 @@ ShardedCoefficientIndex::~ShardedCoefficientIndex() {
   }
 }
 
-std::unique_ptr<CoefficientIndex> ShardedCoefficientIndex::MakeInner(
+std::unique_ptr<TreeCoefficientIndex> ShardedCoefficientIndex::MakeInner(
     int32_t shard_id) const {
-  if (disk_store()) {
-    storage::BufferPool* pool = pools_[shard_id].get();
-    switch (options_.kind) {
-      case ShardedIndexOptions::Kind::kSupportRegion:
-        return std::make_unique<PagedSupportRegionIndex>(options_.rtree, pool);
-      case ShardedIndexOptions::Kind::kNaivePoint:
-        return std::make_unique<PagedNaivePointIndex>(options_.rtree, pool);
-    }
-    MARS_CHECK(false);
-    return nullptr;
-  }
+  storage::BufferPool* pool = disk_store() ? pools_[shard_id].get() : nullptr;
   switch (options_.kind) {
     case ShardedIndexOptions::Kind::kSupportRegion:
-      return std::make_unique<SupportRegionIndex>(options_.rtree);
+      return std::make_unique<SupportRegionIndex>(options_.rtree, pool);
     case ShardedIndexOptions::Kind::kNaivePoint:
-      return std::make_unique<NaivePointIndex>(options_.rtree);
+      return std::make_unique<NaivePointIndex>(options_.rtree, pool);
   }
   MARS_CHECK(false);
   return nullptr;
@@ -316,9 +283,6 @@ ShardedCoefficientIndex::BuildShard(int32_t id,
     // pointer to it), so the records copied here must stay put — which
     // they do: a Shard is immutable once installed.
     shard->index->Build(shard->records);
-    if (disk_store()) {
-      shard->paged = static_cast<PagedCoefficientIndex*>(shard->index.get());
-    }
   }
   return shard;
 }
@@ -357,10 +321,8 @@ ShardedCoefficientIndex::RestoreShard(int32_t id,
       return common::InternalError("shard restore: directory has no tree");
     }
     shard->index = MakeInner(id);
-    shard->paged = static_cast<PagedCoefficientIndex*>(shard->index.get());
-    MARS_RETURN_IF_ERROR(shard->paged->Restore(
-        shard->records, PagedCoefficientIndex::TreeInfo{
-                            dir.root, dir.height, dir.size}));
+    shard->index->Restore(shard->records,
+                          PagedTree3::Info{dir.root, dir.height, dir.size});
   }
   return shard;
 }
@@ -372,8 +334,8 @@ common::Status ShardedCoefficientIndex::WriteDirectory(
   dir.shard = id;
   dir.record_count = static_cast<int64_t>(shard.records.size());
   dir.fingerprint = FingerprintTable(shard.records, shard.ids);
-  if (shard.paged != nullptr) {
-    const PagedCoefficientIndex::TreeInfo info = shard.paged->tree_info();
+  if (shard.index != nullptr) {
+    const PagedTree3::Info info = shard.index->tree_info();
     dir.root = info.root;
     dir.height = info.height;
     dir.size = info.size;
@@ -430,40 +392,22 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
     managers_.resize(total);
     pools_.resize(total);
     restored_shards_ = 0;
-    // Per-slot budget keyed to the configured K (AddShardStore semantics):
-    // restored split slots grow the pool footprint, not shrink the rest.
-    const int64_t pool_pages =
-        std::max<int64_t>(1, options_.storage.pool_pages / k);
     for (int32_t s = 0; s < total; ++s) {
-      const std::string path = ShardFilePath(s);
-      auto opened = storage::DiskStorageManager::Open(
-          path, options_.storage.page_size, /*truncate=*/false);
-      bool fresh_needed = !opened.ok();
-      if (opened.ok()) {
-        managers_[s] = std::move(opened).value();
-        pools_[s] = std::make_unique<storage::BufferPool>(
-            managers_[s].get(), pool_pages, options_.storage.evict);
-        if (managers_[s]->opened_existing()) {
-          auto restored = RestoreShard(s, tables[s], ids[s]);
-          if (restored.ok()) {
-            shards[s] = std::move(restored).value();
-            ++restored_shards_;
-          } else {
-            fresh_needed = true;
-          }
+      bool fresh_needed = !OpenShardStore(s, /*truncate=*/false).ok();
+      if (!fresh_needed && managers_[s]->opened_existing()) {
+        auto restored = RestoreShard(s, tables[s], ids[s]);
+        if (restored.ok()) {
+          shards[s] = std::move(restored).value();
+          ++restored_shards_;
+        } else {
+          fresh_needed = true;
         }
       }
       if (fresh_needed) {
         // Stale or unreadable page file: recreate it from scratch.
-        pools_[s].reset();
-        managers_[s].reset();
-        auto created = storage::DiskStorageManager::Open(
-            path, options_.storage.page_size, /*truncate=*/true);
+        const common::Status created = OpenShardStore(s, /*truncate=*/true);
         MARS_CHECK(created.ok())
-            << "cannot create page file: " << created.status().ToString();
-        managers_[s] = std::move(created).value();
-        pools_[s] = std::make_unique<storage::BufferPool>(
-            managers_[s].get(), pool_pages, options_.storage.evict);
+            << "cannot create page file: " << created.ToString();
       }
       if (shards[s] == nullptr) {
         shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
@@ -726,14 +670,12 @@ void ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next) {
   next->retired_accesses += slot->retired_accesses;
   if (slot->index != nullptr) {
     next->retired_accesses += slot->index->node_accesses();
-  }
-  next->fanout_queries += slot->fanout_queries.load();
-  next->rebuilds += slot->rebuilds + 1;
-  if (slot->paged != nullptr) {
-    const common::Status freed = slot->paged->FreePages();
+    const common::Status freed = slot->index->FreePages();
     MARS_CHECK(freed.ok())
         << "cannot retire epoch pages: " << freed.ToString();
   }
+  next->fanout_queries += slot->fanout_queries.load();
+  next->rebuilds += slot->rebuilds + 1;
   const int32_t id = next->id;
   slot = std::move(next);
   if (disk_store()) {
@@ -783,21 +725,31 @@ bool ShardedCoefficientIndex::LoadShardMap(ShardMap* map) const {
   return !map->refinements().empty();
 }
 
-void ShardedCoefficientIndex::AddShardStore(int32_t shard) {
+common::Status ShardedCoefficientIndex::OpenShardStore(int32_t shard,
+                                                      bool truncate) {
   MARS_CHECK(disk_store());
-  MARS_CHECK_EQ(static_cast<size_t>(shard), managers_.size());
-  auto created = storage::DiskStorageManager::Open(
-      ShardFilePath(shard), options_.storage.page_size, /*truncate=*/true);
-  MARS_CHECK(created.ok())
-      << "cannot create page file: " << created.status().ToString();
-  // Same per-slot budget Build hands the configured K: rebalancing grows
-  // the pool footprint with the slot count instead of shrinking every
-  // other shard's share.
+  pools_[shard].reset();
+  managers_[shard].reset();
+  auto opened = storage::DiskStorageManager::Open(
+      ShardFilePath(shard), options_.storage.page_size, truncate);
+  MARS_RETURN_IF_ERROR(opened.status());
+  managers_[shard] = std::move(opened).value();
+  // Per-slot budget keyed to the configured K: split-allocated slots
+  // (live or restored) grow the pool footprint with the slot count
+  // instead of shrinking every other shard's share.
   const int64_t pool_pages =
       std::max<int64_t>(1, options_.storage.pool_pages / options_.shards);
-  managers_.push_back(std::move(created).value());
-  pools_.push_back(std::make_unique<storage::BufferPool>(
-      managers_.back().get(), pool_pages, options_.storage.evict));
+  pools_[shard] = std::make_unique<storage::BufferPool>(
+      managers_[shard].get(), pool_pages, options_.storage.evict);
+  return common::OkStatus();
+}
+
+void ShardedCoefficientIndex::AddShardStore(int32_t shard) {
+  MARS_CHECK_EQ(static_cast<size_t>(shard), managers_.size());
+  managers_.emplace_back();
+  pools_.emplace_back();
+  const common::Status created = OpenShardStore(shard, /*truncate=*/true);
+  MARS_CHECK(created.ok()) << "cannot create page file: " << created.ToString();
   // SplitShard runs in the serial window between WarmJoin and
   // WarmDispatch, so registering with the warmer here cannot race a
   // candidate scan or an install.
@@ -992,14 +944,12 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
     merged->retired_accesses += old_src.retired_accesses;
     if (old_src.index != nullptr) {
       merged->retired_accesses += old_src.index->node_accesses();
-    }
-    merged->fanout_queries += old_src.fanout_queries.load();
-    tombstone->rebuilds = old_src.rebuilds + 1;
-    if (old_src.paged != nullptr) {
-      const common::Status freed = old_src.paged->FreePages();
+      const common::Status freed = old_src.index->FreePages();
       MARS_CHECK(freed.ok())
           << "cannot retire epoch pages: " << freed.ToString();
     }
+    merged->fanout_queries += old_src.fanout_queries.load();
+    tombstone->rebuilds = old_src.rebuilds + 1;
     shards_[src] = std::move(tombstone);
     if (disk_store()) {
       const common::Status dir = WriteDirectory(src, *shards_[src]);

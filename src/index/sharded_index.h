@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "geometry/box.h"
 #include "index/access.h"
-#include "index/paged_index.h"
 #include "index/record.h"
 #include "index/rtree.h"
 #include "index/shard_map.h"
@@ -245,10 +244,9 @@ class ShardedCoefficientIndex : public CoefficientIndex {
     // epoch owns its copy) and the local → global id map.
     std::vector<CoeffRecord> records;
     std::vector<RecordId> ids;
-    std::unique_ptr<CoefficientIndex> index;  // null for an empty shard
-    // Aliases `index` in disk mode (persist/restore/page-lifecycle
-    // surface); null in memory mode.
-    PagedCoefficientIndex* paged = nullptr;
+    // Null for an empty shard. In disk mode its node store is the
+    // shard's buffer pool.
+    std::unique_ptr<TreeCoefficientIndex> index;
     // Union of the ground-plane support MBBs routed here — the exact
     // fan-out filter.
     geometry::Box2 coverage;
@@ -261,7 +259,9 @@ class ShardedCoefficientIndex : public CoefficientIndex {
     mutable RelaxedCounter fanout_queries;
   };
 
-  std::unique_ptr<CoefficientIndex> MakeInner(int32_t shard_id) const;
+  // The configured strategy over shard `shard_id`'s buffer pool in disk
+  // mode, in RAM otherwise.
+  std::unique_ptr<TreeCoefficientIndex> MakeInner(int32_t shard_id) const;
   // Builds a shard over `records`/`ids` (no locks held).
   std::unique_ptr<Shard> BuildShard(int32_t id,
                                     std::vector<CoeffRecord> records,
@@ -293,6 +293,11 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // when it matches the configured K and `map`'s freshly computed base
   // grid (same bounds bit-for-bit). Returns true when `map` was refined.
   bool LoadShardMap(ShardMap* map) const;
+  // Disk mode: opens slot `shard`'s page file (recreated empty when
+  // `truncate`) and installs its buffer pool with the per-slot budget,
+  // closing whatever store the slot held first. On failure the slot is
+  // left without a store.
+  common::Status OpenShardStore(int32_t shard, bool truncate);
   // Disk mode: appends a fresh page store + buffer pool for a new slot.
   // Caller holds mu_ exclusively (PoolStats/UpdateInterest read under
   // the reader lock).

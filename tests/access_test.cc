@@ -170,6 +170,36 @@ TEST(AccessTest, EmptyRegionReturnsNothing) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(AccessTest, NaiveRebuildDerivesExtentsFromTheNewTableOnly) {
+  // A second Build must forget the first table's support extents: a stale
+  // (wider) extension grows the second pass's window and costs node
+  // accesses that a fresh index over the same table does not pay.
+  std::vector<CoeffRecord> wide = MakeRecords(20, 20, 41);
+  for (CoeffRecord& r : wide) {
+    const double x = r.position.x, y = r.position.y;
+    r.support_bounds =
+        geometry::MakeBox3(x - 300, y - 300, 0, x + 300, y + 300, 20);
+  }
+  const auto narrow = MakeRecords(20, 20, 43);
+  NaivePointIndex rebuilt;
+  rebuilt.Build(wide);
+  rebuilt.Build(narrow);
+  NaivePointIndex fresh;
+  fresh.Build(narrow);
+
+  common::Rng rng(29);
+  for (int q = 0; q < 20; ++q) {
+    const double x = rng.Uniform(0, 900), y = rng.Uniform(0, 900);
+    const geometry::Box2 region = geometry::MakeBox2(x, y, x + 80, y + 80);
+    std::vector<RecordId> got_rebuilt, got_fresh;
+    const int64_t io_rebuilt = rebuilt.Query(region, 0.0, 1.0, &got_rebuilt);
+    const int64_t io_fresh = fresh.Query(region, 0.0, 1.0, &got_fresh);
+    EXPECT_EQ(got_rebuilt, got_fresh);
+    EXPECT_EQ(io_rebuilt, io_fresh);
+  }
+  EXPECT_EQ(rebuilt.node_accesses(), fresh.node_accesses());
+}
+
 TEST(AccessTest, Names) {
   SupportRegionIndex support;
   NaivePointIndex naive;
@@ -702,6 +732,63 @@ TEST(DiskShardedIndexTest, OnlineIngestWorksOnDisk) {
   revived.Query(everything, 0.0, 1.0, &after);
   std::sort(after.begin(), after.end());
   EXPECT_EQ(after, got);
+  RemovePageFiles(path, shards);
+}
+
+// Pages of a shard's file holding live data: every slot minus the
+// freelist.
+int64_t LivePages(const ShardedCoefficientIndex& index, int32_t shard) {
+  for (const auto& entry : index.PoolStats()) {
+    if (entry.shard == shard) return entry.file_pages - entry.free_pages;
+  }
+  ADD_FAILURE() << "no pool for shard " << shard;
+  return -1;
+}
+
+TEST(DiskShardedIndexTest, ReplacedEpochsLeakNoPages) {
+  // Results and node accesses stay identical through a page leak, so the
+  // page count is what shows one: after an epoch commit the file must
+  // hold exactly what a fresh build over the union holds.
+  const auto first = MakeRecords(20, 30, 51);
+  const auto extra = MakeRecords(6, 30, 53);
+  std::vector<CoeffRecord> all = first;
+  all.insert(all.end(), extra.begin(), extra.end());
+  const std::string path = ::testing::TempDir() + "/mars_access_leak.pages";
+  const std::string fresh_path =
+      ::testing::TempDir() + "/mars_access_leak_fresh.pages";
+  RemovePageFiles(path, 1);
+  RemovePageFiles(fresh_path, 1);
+  {
+    ShardedCoefficientIndex index(DiskOptions(
+        1, path, ShardedIndexOptions::Kind::kSupportRegion));
+    index.Build(first);
+    index.Stage(extra.data(), extra.size(),
+                static_cast<RecordId>(first.size()));
+    ASSERT_EQ(index.CommitStaged(), static_cast<int64_t>(extra.size()));
+
+    ShardedCoefficientIndex fresh(DiskOptions(
+        1, fresh_path, ShardedIndexOptions::Kind::kSupportRegion));
+    fresh.Build(all);
+    EXPECT_GT(LivePages(fresh, 0), 1);
+    EXPECT_EQ(LivePages(index, 0), LivePages(fresh, 0));
+  }
+  RemovePageFiles(path, 1);
+  RemovePageFiles(fresh_path, 1);
+}
+
+TEST(DiskShardedIndexTest, MergeTombstoneKeepsOnlyItsDirectory) {
+  const auto records = MakeRecords(40, 50, 3);
+  const std::string path = ::testing::TempDir() + "/mars_access_tomb.pages";
+  const int32_t shards = 4;
+  RemovePageFiles(path, shards);
+  {
+    ShardedCoefficientIndex index(DiskOptions(
+        shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+    index.Build(records);
+    ASSERT_GT(LivePages(index, 1), 1);  // a tree plus its directory
+    ASSERT_TRUE(index.MergeShards(1, 0).ok());
+    EXPECT_EQ(LivePages(index, 1), 1);
+  }
   RemovePageFiles(path, shards);
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "buffer/block_buffer.h"
-#include "buffer/cost_model.h"
 #include "buffer/lru_cache.h"
 #include "buffer/optimal_split.h"
 #include "buffer/prefetcher.h"
@@ -200,30 +199,6 @@ TEST(ResidenceSimTest, Eq2AllocationBeatsUniformOnSkewedMotion) {
   const double t_uniform =
       SimulateStarResidence(probs, uniform, 0.2, 4000, rng);
   EXPECT_GT(t_shaped, t_uniform);
-}
-
-// --- Cost model (Eq. 1) -----------------------------------------------------
-
-TEST(CostModelTest, MatchesClosedForm) {
-  TransferCostParams params;
-  params.connection_cost = 0.5;
-  params.per_byte_cost = 0.001;
-  params.block_bytes = 100;
-  // 3 misses fetching 1, 2, 4 blocks: 3·0.5 + 0.1·(1+2+4) = 2.2.
-  EXPECT_NEAR(TotalTransferCost(params, {1, 2, 4}), 2.2, 1e-12);
-}
-
-TEST(CostModelTest, NoMissesNoCost) {
-  EXPECT_DOUBLE_EQ(TotalTransferCost(TransferCostParams(), {}), 0.0);
-}
-
-TEST(CostModelTest, FewerMissesCheaperForSameBlocks) {
-  // Eq. (1)'s point: batching the same data into fewer misses saves the
-  // connection costs.
-  TransferCostParams params;
-  params.connection_cost = 0.2;
-  EXPECT_LT(TotalTransferCost(params, {6}),
-            TotalTransferCost(params, {1, 1, 1, 1, 1, 1}));
 }
 
 // --- LruCache ---------------------------------------------------------------

@@ -2,8 +2,8 @@
 // overflow chains, freelist reuse, restart persistence, the corruption
 // idiom extended to the page file (torn writes, truncation, bit flips,
 // bad magic — always a clean Status, never UB), the buffer pool's hit/
-// miss/eviction accounting under both policies, and the paged index's
-// bit-for-bit equivalence with its in-memory twin.
+// miss/eviction accounting under both policies, and each access method's
+// bit-for-bit equivalence between the page store and the memory store.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "geometry/box.h"
 #include "index/access.h"
-#include "index/paged_index.h"
 #include "index/record.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_storage.h"
@@ -887,7 +886,7 @@ TEST(PoolWarmerTest, ConcurrentQueriesDuringSpeculativeReads) {
   EXPECT_GT(pool.stats().prefetch_issued, 0);
 }
 
-// --- Paged index vs in-memory twin --------------------------------------
+// --- Page store vs memory store, one access method -------------------
 
 std::vector<index::CoeffRecord> MakeRecords(int objects, int coeffs,
                                             uint64_t seed) {
@@ -920,7 +919,7 @@ TEST(PagedIndexTest, MatchesMemoryIndexIncludingNodeAccesses) {
 
   index::SupportRegionIndex memory_index;
   memory_index.Build(records);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(17);
@@ -943,7 +942,7 @@ TEST(PagedIndexTest, NaivePointTwinMatchesToo) {
 
   index::NaivePointIndex memory_index;
   memory_index.Build(records);
-  index::PagedNaivePointIndex paged_index(index::RTreeOptions(), &pool);
+  index::NaivePointIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(19);
@@ -970,7 +969,7 @@ TEST(PagedIndexTest, TinyPoolStillReturnsExactResults) {
 
   index::SupportRegionIndex memory_index;
   memory_index.Build(records);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
 
   common::Rng rng(23);
@@ -991,7 +990,7 @@ TEST(PagedIndexTest, FreePagesReturnsEverythingToTheFreelist) {
   const auto records = MakeRecords(10, 20, 9);
   MemoryStorageManager mgr(1024);
   BufferPool pool(&mgr, /*capacity_pages=*/4096, EvictPolicy::kLru);
-  index::PagedSupportRegionIndex paged_index(index::RTreeOptions(), &pool);
+  index::SupportRegionIndex paged_index(index::RTreeOptions(), &pool);
   paged_index.Build(records);
   const int64_t allocated = mgr.stats().pages_allocated;
   ASSERT_GT(allocated, 0);
