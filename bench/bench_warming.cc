@@ -148,7 +148,6 @@ index::ShardedIndexOptions WarmOptions(const std::string& path,
 
 void RemovePageFiles(const std::string& path) {
   std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
   for (int32_t k = 0; k < kShards; ++k) {
     std::remove((path + ".shard" + std::to_string(k)).c_str());
   }

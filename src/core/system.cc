@@ -113,6 +113,7 @@ RunMetrics System::RunBuffered(
       [](const client::BufferedFrameReport& report, RunMetrics* m) {
         m->demand_bytes += report.demand_bytes;
         m->prefetch_bytes += report.prefetch_bytes;
+        m->records_delivered += static_cast<int64_t>(report.records.size());
         m->retries += report.retries;
         m->timeouts += report.timeouts;
       },

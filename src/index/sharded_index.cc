@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -18,12 +17,6 @@ geometry::Box2 GroundSupport(const CoeffRecord& r) {
   return geometry::Box2({r.support_bounds.lo(0), r.support_bounds.lo(1)},
                         {r.support_bounds.hi(0), r.support_bounds.hi(1)});
 }
-
-// Per-shard-file directory blob, stored as the page store's root array so a
-// restart can find the persisted tree and prove it matches the table that
-// would be routed to this shard today.
-constexpr uint64_t kDirMagic = 0x52494452414d3144ull;  // "D1MARDIR" LE
-constexpr uint32_t kDirVersion = 1;
 
 uint64_t HashDouble(double v, uint64_t h) {
   uint64_t bits = 0;
@@ -53,178 +46,8 @@ uint64_t FingerprintTable(const std::vector<CoeffRecord>& records,
   return h;
 }
 
-struct Directory {
-  uint8_t kind = 0;
-  int32_t shard = 0;
-  int64_t record_count = 0;
-  uint64_t fingerprint = 0;
-  storage::PageId root = storage::kInvalidPage;
-  int32_t height = 0;
-  int64_t size = 0;
-};
-
-std::vector<uint8_t> EncodeDirectory(const Directory& dir) {
-  common::ByteWriter w;
-  w.WriteU64(kDirMagic);
-  w.WriteU32(kDirVersion);
-  w.WriteU8(dir.kind);
-  w.WriteI32(dir.shard);
-  w.WriteI64(dir.record_count);
-  w.WriteU64(dir.fingerprint);
-  w.WriteI64(dir.root);
-  w.WriteI32(dir.height);
-  w.WriteI64(dir.size);
-  return w.Take();
-}
-
-common::Status DecodeDirectory(const std::vector<uint8_t>& bytes,
-                               Directory* dir) {
-  common::ByteReader r(bytes.data(), bytes.size());
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  MARS_RETURN_IF_ERROR(r.ReadU64(&magic));
-  if (magic != kDirMagic) {
-    return common::InternalError("shard directory: bad magic");
-  }
-  MARS_RETURN_IF_ERROR(r.ReadU32(&version));
-  if (version != kDirVersion) {
-    return common::InternalError("shard directory: unsupported version");
-  }
-  MARS_RETURN_IF_ERROR(r.ReadU8(&dir->kind));
-  MARS_RETURN_IF_ERROR(r.ReadI32(&dir->shard));
-  MARS_RETURN_IF_ERROR(r.ReadI64(&dir->record_count));
-  MARS_RETURN_IF_ERROR(r.ReadU64(&dir->fingerprint));
-  MARS_RETURN_IF_ERROR(r.ReadI64(&dir->root));
-  MARS_RETURN_IF_ERROR(r.ReadI32(&dir->height));
-  MARS_RETURN_IF_ERROR(r.ReadI64(&dir->size));
-  return common::OkStatus();
-}
-
-// Shard-map sidecar blob: base grid geometry plus the refinement list,
-// persisted next to the page files so a restart re-applies the
-// rebalancer's splits/merges before partitioning (and therefore restores
-// the split-allocated shards' trees instead of rebuilding everything).
-constexpr uint64_t kMapMagic = 0x50414d53524d3144ull;  // "D1MRSMAP" LE
-// Version 2 stores the allocation high-water mark (total_shards) next to
-// the refinement list, because a compacted list (ShardMap::Compact) may
-// drop or re-target the very splits that allocated ids later ops still
-// reference. Any other version fails to decode, and the build falls back
-// to the base grid.
-constexpr uint32_t kMapVersion = 2;
-
-std::vector<uint8_t> EncodeShardMap(const ShardMap& map, int32_t base_shards) {
-  common::ByteWriter w;
-  w.WriteU64(kMapMagic);
-  w.WriteU32(kMapVersion);
-  w.WriteI32(base_shards);
-  w.WriteI32(map.total_shards());
-  const geometry::Box2& bounds = map.bounds();
-  w.WriteU8(bounds.IsEmpty() ? 1 : 0);
-  if (!bounds.IsEmpty()) {
-    w.WriteDouble(bounds.lo(0));
-    w.WriteDouble(bounds.lo(1));
-    w.WriteDouble(bounds.hi(0));
-    w.WriteDouble(bounds.hi(1));
-  }
-  const auto& ops = map.refinements();
-  w.WriteI64(static_cast<int64_t>(ops.size()));
-  for (const ShardMap::Refinement& op : ops) {
-    w.WriteU8(static_cast<uint8_t>(op.kind));
-    w.WriteI32(op.shard);
-    w.WriteI32(op.target);
-    w.WriteI32(op.axis);
-    w.WriteDouble(op.threshold);
-  }
-  return w.Take();
-}
-
-// Decodes the sidecar and replays its refinements onto `map` (which must
-// already hold the base grid). Fails without touching `map` when the blob
-// is malformed or was written for a different base grid.
-common::Status DecodeShardMapInto(const std::vector<uint8_t>& bytes,
-                                  int32_t base_shards, ShardMap* map) {
-  common::ByteReader r(bytes.data(), bytes.size());
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  MARS_RETURN_IF_ERROR(r.ReadU64(&magic));
-  if (magic != kMapMagic) {
-    return common::InternalError("shard map sidecar: bad magic");
-  }
-  MARS_RETURN_IF_ERROR(r.ReadU32(&version));
-  if (version != kMapVersion) {
-    return common::InternalError("shard map sidecar: unsupported version");
-  }
-  int32_t stored_shards = 0;
-  MARS_RETURN_IF_ERROR(r.ReadI32(&stored_shards));
-  if (stored_shards != base_shards) {
-    return common::FailedPreconditionError(
-        "shard map sidecar: base shard count changed");
-  }
-  int32_t total_shards = 0;
-  MARS_RETURN_IF_ERROR(r.ReadI32(&total_shards));
-  if (total_shards < base_shards || total_shards > 1'000'000) {
-    return common::InternalError("shard map sidecar: bad total shards");
-  }
-  uint8_t empty = 0;
-  MARS_RETURN_IF_ERROR(r.ReadU8(&empty));
-  std::array<double, 4> stored_bounds = {0, 0, 0, 0};
-  if (empty == 0) {
-    for (double& v : stored_bounds) {
-      MARS_RETURN_IF_ERROR(r.ReadDouble(&v));
-    }
-  }
-  const geometry::Box2& bounds = map->bounds();
-  const bool bounds_match =
-      empty != 0
-          ? bounds.IsEmpty()
-          : !bounds.IsEmpty() && bounds.lo(0) == stored_bounds[0] &&
-                bounds.lo(1) == stored_bounds[1] &&
-                bounds.hi(0) == stored_bounds[2] &&
-                bounds.hi(1) == stored_bounds[3];
-  if (!bounds_match) {
-    return common::FailedPreconditionError(
-        "shard map sidecar: base grid bounds changed");
-  }
-  int64_t count = 0;
-  MARS_RETURN_IF_ERROR(r.ReadI64(&count));
-  if (count < 0 || count > 1'000'000) {
-    return common::InternalError("shard map sidecar: bad refinement count");
-  }
-  std::vector<ShardMap::Refinement> ops;
-  ops.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    uint8_t kind = 0;
-    ShardMap::Refinement op;
-    MARS_RETURN_IF_ERROR(r.ReadU8(&kind));
-    if (kind > static_cast<uint8_t>(ShardMap::Refinement::Kind::kMerge)) {
-      return common::InternalError("shard map sidecar: bad refinement kind");
-    }
-    op.kind = static_cast<ShardMap::Refinement::Kind>(kind);
-    MARS_RETURN_IF_ERROR(r.ReadI32(&op.shard));
-    MARS_RETURN_IF_ERROR(r.ReadI32(&op.target));
-    MARS_RETURN_IF_ERROR(r.ReadI32(&op.axis));
-    MARS_RETURN_IF_ERROR(r.ReadDouble(&op.threshold));
-    if (op.shard < 0 || op.target < 0 || (op.axis != 0 && op.axis != 1)) {
-      return common::InternalError("shard map sidecar: bad refinement");
-    }
-    ops.push_back(op);
-  }
-  // A compacted list does not replay through the append-only surface
-  // (its split targets may be out of allocation order, or point at
-  // existing ids after a forward collapse). Bounds-check every op
-  // against the stored high-water mark and install the list verbatim —
-  // any in-bounds list routes safely, because Route only ever follows op
-  // targets and every target is below total_shards.
-  for (const ShardMap::Refinement& op : ops) {
-    if (op.shard >= total_shards || op.target >= total_shards ||
-        op.shard == op.target) {
-      return common::InternalError("shard map sidecar: refinement out of "
-                                   "bounds");
-    }
-  }
-  map->RestoreRefinements(total_shards, std::move(ops));
-  return common::OkStatus();
-}
+constexpr uint64_t kManifestMagic = 0x5453464e414d3144ull;  // "D1MANFST" LE
+constexpr uint32_t kManifestVersion = 1;
 
 std::string KindName(ShardedIndexOptions::Kind kind) {
   switch (kind) {
@@ -239,6 +62,126 @@ std::string KindName(ShardedIndexOptions::Kind kind) {
 
 }  // namespace
 
+// Layout: magic, version, kind, base K, total_shards, base grid bounds
+// (empty flag, then lo/hi), the refinement list, one entry per slot, and
+// an FNV-1a checksum over everything before it.
+std::vector<uint8_t> ShardedCoefficientIndex::EncodeManifest(
+    const Manifest& m) {
+  common::ByteWriter w;
+  w.WriteU64(kManifestMagic);
+  w.WriteU32(kManifestVersion);
+  w.WriteU8(m.kind);
+  w.WriteI32(m.base_shards);
+  w.WriteI32(m.total_shards);
+  w.WriteU8(m.bounds.IsEmpty() ? 1 : 0);
+  if (!m.bounds.IsEmpty()) {
+    w.WriteDouble(m.bounds.lo(0));
+    w.WriteDouble(m.bounds.lo(1));
+    w.WriteDouble(m.bounds.hi(0));
+    w.WriteDouble(m.bounds.hi(1));
+  }
+  w.WriteI64(static_cast<int64_t>(m.refinements.size()));
+  for (const ShardMap::Refinement& op : m.refinements) {
+    w.WriteU8(static_cast<uint8_t>(op.kind));
+    w.WriteI32(op.shard);
+    w.WriteI32(op.target);
+    w.WriteI32(op.axis);
+    w.WriteDouble(op.threshold);
+  }
+  for (const Manifest::Slot& slot : m.slots) {
+    w.WriteU8(slot.retired ? 1 : 0);
+    w.WriteI64(slot.record_count);
+    w.WriteU64(slot.fingerprint);
+    w.WriteI64(slot.tree.root);
+    w.WriteI32(slot.tree.height);
+    w.WriteI64(slot.tree.size);
+  }
+  w.WriteU64(storage::Fnv1a64(w.buffer().data(), w.buffer().size()));
+  return w.Take();
+}
+
+common::Status ShardedCoefficientIndex::DecodeManifest(
+    const std::vector<uint8_t>& bytes, Manifest* m) {
+  if (bytes.size() < sizeof(uint64_t)) {
+    return common::InternalError("shard manifest: truncated");
+  }
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  common::ByteReader tail(bytes.data() + body, sizeof(uint64_t));
+  uint64_t checksum = 0;
+  MARS_RETURN_IF_ERROR(tail.ReadU64(&checksum));
+  if (storage::Fnv1a64(bytes.data(), body) != checksum) {
+    return common::InternalError("shard manifest: checksum mismatch");
+  }
+  common::ByteReader r(bytes.data(), body);
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  MARS_RETURN_IF_ERROR(r.ReadU64(&magic));
+  MARS_RETURN_IF_ERROR(r.ReadU32(&version));
+  if (magic != kManifestMagic || version != kManifestVersion) {
+    return common::InternalError("shard manifest: bad magic or version");
+  }
+  MARS_RETURN_IF_ERROR(r.ReadU8(&m->kind));
+  MARS_RETURN_IF_ERROR(r.ReadI32(&m->base_shards));
+  MARS_RETURN_IF_ERROR(r.ReadI32(&m->total_shards));
+  if (m->base_shards < 1 || m->total_shards < m->base_shards ||
+      m->total_shards > 1'000'000) {
+    return common::InternalError("shard manifest: bad shard counts");
+  }
+  uint8_t empty = 0;
+  MARS_RETURN_IF_ERROR(r.ReadU8(&empty));
+  m->bounds = geometry::Box2();
+  if (empty == 0) {
+    std::array<double, 4> v = {0, 0, 0, 0};
+    for (double& x : v) MARS_RETURN_IF_ERROR(r.ReadDouble(&x));
+    m->bounds = geometry::Box2({v[0], v[1]}, {v[2], v[3]});
+  }
+  int64_t count = 0;
+  MARS_RETURN_IF_ERROR(r.ReadI64(&count));
+  if (count < 0 || count > 1'000'000) {
+    return common::InternalError("shard manifest: bad refinement count");
+  }
+  m->refinements.assign(static_cast<size_t>(count), {});
+  for (ShardMap::Refinement& op : m->refinements) {
+    uint8_t kind = 0;
+    MARS_RETURN_IF_ERROR(r.ReadU8(&kind));
+    MARS_RETURN_IF_ERROR(r.ReadI32(&op.shard));
+    MARS_RETURN_IF_ERROR(r.ReadI32(&op.target));
+    MARS_RETURN_IF_ERROR(r.ReadI32(&op.axis));
+    MARS_RETURN_IF_ERROR(r.ReadDouble(&op.threshold));
+    // A compacted list does not replay through ApplySplit/ApplyMerge
+    // (split targets may be out of allocation order), so each op is
+    // bounds-checked against total_shards and the list installs
+    // verbatim: Route only ever follows in-bounds targets.
+    if (kind > static_cast<uint8_t>(ShardMap::Refinement::Kind::kMerge) ||
+        op.shard < 0 || op.shard >= m->total_shards || op.target < 0 ||
+        op.target >= m->total_shards || op.shard == op.target ||
+        (op.axis != 0 && op.axis != 1)) {
+      return common::InternalError("shard manifest: bad refinement");
+    }
+    op.kind = static_cast<ShardMap::Refinement::Kind>(kind);
+  }
+  m->slots.assign(static_cast<size_t>(m->total_shards), {});
+  for (Manifest::Slot& slot : m->slots) {
+    uint8_t retired = 0;
+    MARS_RETURN_IF_ERROR(r.ReadU8(&retired));
+    MARS_RETURN_IF_ERROR(r.ReadI64(&slot.record_count));
+    MARS_RETURN_IF_ERROR(r.ReadU64(&slot.fingerprint));
+    MARS_RETURN_IF_ERROR(r.ReadI64(&slot.tree.root));
+    MARS_RETURN_IF_ERROR(r.ReadI32(&slot.tree.height));
+    MARS_RETURN_IF_ERROR(r.ReadI64(&slot.tree.size));
+    slot.retired = retired != 0;
+    // A slot holds a tree exactly when it holds records.
+    if (slot.record_count < 0 ||
+        (slot.record_count > 0) != (slot.tree.root != storage::kInvalidPage)) {
+      return common::InternalError("shard manifest: bad slot");
+    }
+  }
+  if (!r.AtEnd()) {
+    return common::InternalError("shard manifest: trailing bytes");
+  }
+  return common::OkStatus();
+}
+
 ShardedCoefficientIndex::ShardedCoefficientIndex(ShardedIndexOptions options)
     : options_(options) {
   MARS_CHECK_GE(options_.shards, 1);
@@ -246,8 +189,8 @@ ShardedCoefficientIndex::ShardedCoefficientIndex(ShardedIndexOptions options)
 }
 
 ShardedCoefficientIndex::~ShardedCoefficientIndex() {
-  // Persist roots and buffered pages so a restart can restore; pages are
-  // deliberately NOT freed — they are the on-disk index.
+  // Flush buffered pages so a restart can restore; pages are deliberately
+  // NOT freed — they are the on-disk index.
   for (const auto& pool : pools_) {
     if (pool != nullptr) pool->Flush();
   }
@@ -269,7 +212,8 @@ std::unique_ptr<TreeCoefficientIndex> ShardedCoefficientIndex::MakeInner(
 std::unique_ptr<ShardedCoefficientIndex::Shard>
 ShardedCoefficientIndex::BuildShard(int32_t id,
                                     std::vector<CoeffRecord> records,
-                                    std::vector<RecordId> ids) const {
+                                    std::vector<RecordId> ids,
+                                    const PagedTree3::Info* persisted) const {
   auto shard = std::make_unique<Shard>();
   shard->id = id;
   shard->records = std::move(records);
@@ -282,81 +226,106 @@ ShardedCoefficientIndex::BuildShard(int32_t id,
     // Built over the shard's own table (the inner access methods keep a
     // pointer to it), so the records copied here must stay put — which
     // they do: a Shard is immutable once installed.
-    shard->index->Build(shard->records);
-  }
-  return shard;
-}
-
-common::StatusOr<std::unique_ptr<ShardedCoefficientIndex::Shard>>
-ShardedCoefficientIndex::RestoreShard(int32_t id,
-                                      std::vector<CoeffRecord> records,
-                                      std::vector<RecordId> ids) const {
-  storage::BufferPool* pool = pools_[id].get();
-  const storage::PageId dir_page = pool->root();
-  if (dir_page == storage::kInvalidPage) {
-    return common::NotFoundError("shard restore: no directory");
-  }
-  std::vector<uint8_t> blob;
-  MARS_RETURN_IF_ERROR(pool->Fetch(dir_page, &blob));
-  Directory dir;
-  MARS_RETURN_IF_ERROR(DecodeDirectory(blob, &dir));
-  if (dir.kind != static_cast<uint8_t>(options_.kind) || dir.shard != id) {
-    return common::FailedPreconditionError("shard restore: directory is for "
-                                           "a different index");
-  }
-  if (dir.record_count != static_cast<int64_t>(records.size()) ||
-      dir.fingerprint != FingerprintTable(records, ids)) {
-    return common::FailedPreconditionError(
-        "shard restore: record table changed since persist");
-  }
-  auto shard = std::make_unique<Shard>();
-  shard->id = id;
-  shard->records = std::move(records);
-  shard->ids = std::move(ids);
-  for (const CoeffRecord& r : shard->records) {
-    shard->coverage.Extend(GroundSupport(r));
-  }
-  if (!shard->records.empty()) {
-    if (dir.root == storage::kInvalidPage) {
-      return common::InternalError("shard restore: directory has no tree");
+    if (persisted != nullptr) {
+      shard->index->Restore(shard->records, *persisted);
+    } else {
+      shard->index->Build(shard->records);
     }
-    shard->index = MakeInner(id);
-    shard->index->Restore(shard->records,
-                          PagedTree3::Info{dir.root, dir.height, dir.size});
   }
   return shard;
 }
 
-common::Status ShardedCoefficientIndex::WriteDirectory(
-    int32_t id, const Shard& shard) const {
-  Directory dir;
-  dir.kind = static_cast<uint8_t>(options_.kind);
-  dir.shard = id;
-  dir.record_count = static_cast<int64_t>(shard.records.size());
-  dir.fingerprint = FingerprintTable(shard.records, shard.ids);
-  if (shard.index != nullptr) {
-    const PagedTree3::Info info = shard.index->tree_info();
-    dir.root = info.root;
-    dir.height = info.height;
-    dir.size = info.size;
+std::vector<ShardedCoefficientIndex::Manifest::Slot>
+ShardedCoefficientIndex::LoadManifest() {
+  if (!OpenShardStore(0, /*truncate=*/false).ok() ||
+      !managers_[0]->opened_existing()) {
+    return {};
   }
-  storage::BufferPool* pool = pools_[id].get();
-  storage::PageId dir_page = pool->root();
-  MARS_RETURN_IF_ERROR(pool->Store(&dir_page, EncodeDirectory(dir)));
-  MARS_RETURN_IF_ERROR(pool->SetRoot(dir_page));
-  return pool->Flush();
+  storage::BufferPool* pool = pools_[0].get();
+  const storage::PageId root = pool->root();
+  std::vector<uint8_t> blob;
+  Manifest m;
+  if (root == storage::kInvalidPage || !pool->Fetch(root, &blob).ok() ||
+      !DecodeManifest(blob, &m).ok()) {
+    return {};
+  }
+  const geometry::Box2& bounds = map_.bounds();
+  const bool same_bounds =
+      m.bounds.IsEmpty()
+          ? bounds.IsEmpty()
+          : !bounds.IsEmpty() && bounds.lo(0) == m.bounds.lo(0) &&
+                bounds.lo(1) == m.bounds.lo(1) &&
+                bounds.hi(0) == m.bounds.hi(0) &&
+                bounds.hi(1) == m.bounds.hi(1);
+  if (m.kind != static_cast<uint8_t>(options_.kind) ||
+      m.base_shards != options_.shards || !same_bounds) {
+    return {};
+  }
+  map_.RestoreRefinements(m.total_shards, std::move(m.refinements));
+  return std::move(m.slots);
+}
+
+void ShardedCoefficientIndex::CommitManifest(
+    const std::vector<int32_t>& written,
+    std::vector<std::unique_ptr<Shard>> replaced) {
+  const auto check = [](const common::Status& status) {
+    MARS_CHECK(status.ok())
+        << "cannot commit shard manifest: " << status.ToString();
+  };
+  if (disk_store()) {
+    for (const int32_t s : written) {
+      Shard& shard = *shards_[s];
+      shard.fingerprint = FingerprintTable(shard.records, shard.ids);
+      check(pools_[s]->Flush());
+    }
+    Manifest m;
+    m.kind = static_cast<uint8_t>(options_.kind);
+    m.base_shards = options_.shards;
+    m.bounds = map_.bounds();
+    m.total_shards = map_.total_shards();
+    m.refinements = map_.refinements();
+    for (const auto& shard : shards_) {
+      Manifest::Slot& slot = m.slots.emplace_back();
+      slot.retired = shard->retired;
+      slot.record_count = static_cast<int64_t>(shard->records.size());
+      slot.fingerprint = shard->fingerprint;
+      if (shard->index != nullptr) slot.tree = shard->index->tree_info();
+    }
+    storage::BufferPool* pool = pools_[0].get();
+    const storage::PageId old = pool->root();
+    storage::PageId fresh = storage::kInvalidPage;
+    check(pool->Store(&fresh, EncodeManifest(m)));
+    check(pool->SetRoot(fresh));
+    check(pool->Flush());
+    if (old != storage::kInvalidPage) check(pool->Erase(old));
+  }
+  // Only now that no committed manifest references them may the replaced
+  // trees' pages return to the freelist for later stores to reuse.
+  for (const auto& shard : replaced) {
+    if (shard->index != nullptr) check(shard->index->FreePages());
+  }
 }
 
 void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
   const int32_t k = options_.shards;
   map_ = k == 1 ? ShardMap()
                 : ShardMap::Build(ShardMap::GroundBounds(records), k);
+  std::vector<Manifest::Slot> persisted;
   if (disk_store()) {
-    // Replay a persisted refinement list (if any) BEFORE partitioning, so
-    // the routed per-slot tables match the directories the rebalanced run
-    // wrote and every slot — including the ones splits allocated past the
+    MARS_CHECK(!options_.storage.path.empty())
+        << "disk store requires a page file path";
+    // A rebuild invalidates every pool pointer the warmer holds: stop it
+    // (joining any in-flight reads) before the pools go away.
+    warmer_.reset();
+    pools_.clear();
+    managers_.clear();
+    managers_.resize(1);
+    pools_.resize(1);
+    // Replay the persisted refinement list (if any) BEFORE partitioning,
+    // so the routed per-slot tables match the manifest's entries and
+    // every slot — including the ones splits allocated past the
     // configured K — re-attaches its page file instead of rebuilding.
-    LoadShardMap(&map_);
+    persisted = LoadManifest();
   }
   const int32_t total = map_.total_shards();
 
@@ -373,84 +342,73 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
   if (options_.fanout_workers > 1 && pool_ == nullptr) {
     pool_ = std::make_unique<common::ThreadPool>(options_.fanout_workers);
   }
-
-  std::vector<std::unique_ptr<Shard>> shards(total);
   if (disk_store()) {
-    // Disk mode: open (or create) each shard's page file, then restore
-    // the persisted tree when its directory matches the routed table —
-    // partitioning above is deterministic, so an unchanged dataset
-    // restores every shard and a restart skips the whole rebuild. Any
-    // mismatch or corruption falls back to a fresh file and rebuild:
-    // always a clean recovery, never undefined behavior.
-    MARS_CHECK(!options_.storage.path.empty())
-        << "disk store requires a page file path";
-    // A rebuild invalidates every pool pointer the warmer holds: stop it
-    // (joining any in-flight reads) before the pools go away.
-    warmer_.reset();
-    pools_.clear();
-    managers_.clear();
     managers_.resize(total);
     pools_.resize(total);
-    restored_shards_ = 0;
-    for (int32_t s = 0; s < total; ++s) {
-      bool fresh_needed = !OpenShardStore(s, /*truncate=*/false).ok();
-      if (!fresh_needed && managers_[s]->opened_existing()) {
-        auto restored = RestoreShard(s, tables[s], ids[s]);
-        if (restored.ok()) {
-          shards[s] = std::move(restored).value();
-          ++restored_shards_;
-        } else {
-          fresh_needed = true;
-        }
+  }
+
+  // One task per slot; slots share no state, so they run on the fan-out
+  // pool when there is one. In disk mode a slot whose manifest entry
+  // matches its routed table re-attaches the persisted tree —
+  // partitioning is deterministic, so an unchanged dataset restores every
+  // slot and a restart skips the whole rebuild. Any mismatch or
+  // corruption recreates the slot's page file and rebuilds: always a
+  // clean recovery, never undefined behavior.
+  std::vector<std::unique_ptr<Shard>> shards(total);
+  std::vector<char> restored(total, 0);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(total);
+  for (int32_t s = 0; s < total; ++s) {
+    tasks.push_back([this, s, &persisted, &shards, &restored, &tables, &ids] {
+      const Manifest::Slot* entry =
+          persisted.empty() ? nullptr : &persisted[s];
+      uint64_t fingerprint = 0;
+      if (entry != nullptr) {
+        if (s != 0) (void)OpenShardStore(s, /*truncate=*/false);
+        fingerprint = FingerprintTable(tables[s], ids[s]);
+        restored[s] = managers_[s] != nullptr &&
+                      managers_[s]->opened_existing() &&
+                      entry->record_count ==
+                          static_cast<int64_t>(tables[s].size()) &&
+                      entry->fingerprint == fingerprint;
       }
-      if (fresh_needed) {
-        // Stale or unreadable page file: recreate it from scratch.
+      if (disk_store() && !restored[s] &&
+          (managers_[s] == nullptr || managers_[s]->opened_existing())) {
         const common::Status created = OpenShardStore(s, /*truncate=*/true);
         MARS_CHECK(created.ok())
             << "cannot create page file: " << created.ToString();
       }
-      if (shards[s] == nullptr) {
-        shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
-        const common::Status dir = WriteDirectory(s, *shards[s]);
-        MARS_CHECK(dir.ok())
-            << "cannot persist shard directory: " << dir.ToString();
-      }
-    }
-    // Re-mark merged-away slots: ids are append-only and never reused, so
-    // the retired set is exactly the merge ops' source ids. (A compacted
-    // sidecar may have dropped a merge whose slot cancelled out entirely;
-    // that slot comes back as an empty live one — routing-identical, it
-    // just counts as live again.)
-    for (const ShardMap::Refinement& op : map_.refinements()) {
-      if (op.kind == ShardMap::Refinement::Kind::kMerge) {
-        shards[op.shard]->retired = true;
-      }
-    }
-    PersistShardMap();
-    if (options_.storage.warm) {
-      storage::PoolWarmer::Options warm;
-      warm.budget = options_.storage.warm_budget;
-      warm.workers = options_.storage.warm_workers;
-      warmer_ = std::make_unique<storage::PoolWarmer>(warm);
-      for (const auto& pool : pools_) {
-        warmer_->AddPool(pool.get());
-      }
-    }
-  } else if (pool_ != nullptr && k > 1) {
-    // Build every shard in parallel (shard builds are independent); the
-    // result is the same set of trees as the sequential path.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(total);
-    for (int32_t s = 0; s < total; ++s) {
-      tasks.push_back([this, s, &shards, &tables, &ids] {
-        shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
-      });
-    }
+      shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]),
+                             restored[s] ? &entry->tree : nullptr);
+      if (restored[s]) shards[s]->fingerprint = fingerprint;
+      // Retirement is routing state, persisted whether or not the slot's
+      // tree survived.
+      if (entry != nullptr) shards[s]->retired = entry->retired;
+    });
+  }
+  if (pool_ != nullptr) {
     common::MutexLock pool_lock(&pool_mu_);
     pool_->RunBatch(tasks);
   } else {
-    for (int32_t s = 0; s < total; ++s) {
-      shards[s] = BuildShard(s, std::move(tables[s]), std::move(ids[s]));
+    for (const auto& task : tasks) task();
+  }
+
+  std::vector<int32_t> written;
+  restored_shards_ = 0;
+  for (int32_t s = 0; s < total; ++s) {
+    if (restored[s]) {
+      ++restored_shards_;
+    } else {
+      written.push_back(s);
+    }
+  }
+  if (disk_store() && options_.storage.warm) {
+    storage::PoolWarmer::Options warm;
+    warm.budget = options_.storage.warm_budget;
+    warm.workers = options_.storage.warm_workers;
+    warmer_ = std::make_unique<storage::PoolWarmer>(warm);
+    for (const auto& pool : pools_) {
+      warmer_->AddPool(pool.get());
     }
   }
 
@@ -458,6 +416,8 @@ void ShardedCoefficientIndex::Build(const std::vector<CoeffRecord>& records) {
     common::WriterLock lock(&mu_);
     shards_ = std::move(shards);
     epoch_ = 0;
+    // A restart that re-attached every slot wrote nothing to commit.
+    if (!written.empty()) CommitManifest(written, {});
   }
   common::MutexLock stage_lock(&stage_mu_);
   staged_.assign(total, {});
@@ -648,41 +608,33 @@ int64_t ShardedCoefficientIndex::CommitStaged() {
         BuildShard(rb.shard, std::move(rb.records), std::move(rb.ids)));
   }
 
-  // Swap (SwapSlot transfers counters, frees the replaced epoch's pages
-  // and rewrites the shard directory).
   common::WriterLock lock(&mu_);
+  std::vector<int32_t> written;
+  std::vector<std::unique_ptr<Shard>> replaced;
   for (auto& shard : built) {
-    SwapSlot(std::move(shard));
+    written.push_back(shard->id);
+    replaced.push_back(SwapSlot(std::move(shard)));
   }
   ++epoch_;
+  CommitManifest(written, std::move(replaced));
   return folded;
 }
 
-void ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next) {
+std::unique_ptr<ShardedCoefficientIndex::Shard>
+ShardedCoefficientIndex::SwapSlot(std::unique_ptr<Shard> next, Shard* heir) {
   std::unique_ptr<Shard>& slot = shards_[next->id];
   // Counters transfer at swap time so queries that ran during the
   // off-side build are not lost: the old tree's accesses retire into the
-  // new shard's carried total — on top of anything the caller pre-seeded
-  // (a merge source's history, say). In disk mode the replaced epoch's
-  // pages go back to the freelist (the destructor leaves pages alone by
-  // design) and the shard directory is rewritten to point at the new
-  // tree.
-  next->retired_accesses += slot->retired_accesses;
+  // heir's carried total, on top of anything it already carries.
+  Shard& to = heir != nullptr ? *heir : *next;
+  to.retired_accesses += slot->retired_accesses;
   if (slot->index != nullptr) {
-    next->retired_accesses += slot->index->node_accesses();
-    const common::Status freed = slot->index->FreePages();
-    MARS_CHECK(freed.ok())
-        << "cannot retire epoch pages: " << freed.ToString();
+    to.retired_accesses += slot->index->node_accesses();
   }
-  next->fanout_queries += slot->fanout_queries.load();
+  to.fanout_queries += slot->fanout_queries.load();
   next->rebuilds += slot->rebuilds + 1;
-  const int32_t id = next->id;
-  slot = std::move(next);
-  if (disk_store()) {
-    const common::Status dir = WriteDirectory(id, *slot);
-    MARS_CHECK(dir.ok())
-        << "cannot persist shard directory: " << dir.ToString();
-  }
+  std::swap(slot, next);
+  return next;
 }
 
 std::string ShardedCoefficientIndex::ShardFilePath(int32_t shard) const {
@@ -691,38 +643,6 @@ std::string ShardedCoefficientIndex::ShardFilePath(int32_t shard) const {
   // splits allocate past the configured K — gets its own suffix.
   if (options_.shards == 1 && shard == 0) return options_.storage.path;
   return options_.storage.path + ".shard" + std::to_string(shard);
-}
-
-std::string ShardedCoefficientIndex::ShardMapPath() const {
-  return options_.storage.path + ".shardmap";
-}
-
-void ShardedCoefficientIndex::PersistShardMap() const {
-  MARS_CHECK(disk_store());
-  const std::vector<uint8_t> blob = EncodeShardMap(map_, options_.shards);
-  std::ofstream out(ShardMapPath(), std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  MARS_CHECK(out.good()) << "cannot persist shard map: " << ShardMapPath();
-}
-
-bool ShardedCoefficientIndex::LoadShardMap(ShardMap* map) const {
-  std::ifstream in(ShardMapPath(), std::ios::binary | std::ios::ate);
-  if (!in.good()) return false;  // no sidecar: nothing was rebalanced
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> blob(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(blob.data()), size);
-  if (!in.good()) return false;
-  // Replay onto a scratch copy so a stale or corrupt sidecar leaves the
-  // freshly built base map untouched (the build then proceeds as if the
-  // rebalancer had never run — a clean recovery).
-  ShardMap candidate = *map;
-  const common::Status replayed =
-      DecodeShardMapInto(blob, options_.shards, &candidate);
-  if (!replayed.ok()) return false;
-  *map = candidate;
-  return !map->refinements().empty();
 }
 
 common::Status ShardedCoefficientIndex::OpenShardStore(int32_t shard,
@@ -862,27 +782,22 @@ common::StatusOr<int32_t> ShardedCoefficientIndex::SplitShard(int32_t shard) {
   std::unique_ptr<Shard> high =
       BuildShard(new_id, std::move(high_records), std::move(high_ids));
 
+  common::WriterLock lock(&mu_);
+  MARS_CHECK_EQ(new_id, static_cast<int32_t>(shards_.size()));
+  shards_.push_back(std::move(high));
+  // The surviving low half keeps the split shard's counter history; the
+  // high half starts fresh.
+  std::vector<std::unique_ptr<Shard>> replaced;
+  replaced.push_back(SwapSlot(std::move(low)));
+  ++rebalances_;
   {
-    common::WriterLock lock(&mu_);
-    MARS_CHECK_EQ(new_id, static_cast<int32_t>(shards_.size()));
-    shards_.push_back(std::move(high));
-    if (disk_store()) {
-      const common::Status dir = WriteDirectory(new_id, *shards_.back());
-      MARS_CHECK(dir.ok())
-          << "cannot persist shard directory: " << dir.ToString();
-    }
-    // The surviving low half keeps the split shard's counter history;
-    // the high half starts fresh.
-    SwapSlot(std::move(low));
-    ++rebalances_;
+    // Route future records — and the already-staged ones — under the
+    // refined map.
+    common::MutexLock stage_lock(&stage_mu_);
+    map_.ApplySplit(shard, axis, threshold, new_id);
+    RebucketStaged(new_id + 1);
   }
-
-  // Route future records — and the already-staged ones — under the
-  // refined map.
-  common::MutexLock stage_lock(&stage_mu_);
-  map_.ApplySplit(shard, axis, threshold, new_id);
-  if (disk_store()) PersistShardMap();
-  RebucketStaged(new_id + 1);
+  CommitManifest({shard, new_id}, std::move(replaced));
   return new_id;
 }
 
@@ -934,42 +849,25 @@ common::Status ShardedCoefficientIndex::MergeShards(int32_t src, int32_t dst) {
   std::unique_ptr<Shard> tombstone = BuildShard(src, {}, {});
   tombstone->retired = true;
 
-  int32_t count = 0;
+  common::WriterLock lock(&mu_);
+  // src's cumulative counters move into the union before the swap adds
+  // dst's own — the destination inherits the sum of both histories and
+  // the retired slot restarts at zero, permanently.
+  std::vector<std::unique_ptr<Shard>> replaced;
+  replaced.push_back(SwapSlot(std::move(tombstone), merged.get()));
+  replaced.push_back(SwapSlot(std::move(merged)));
+  ++rebalances_;
   {
-    common::WriterLock lock(&mu_);
-    // src's cumulative counters move into the union before the swap adds
-    // dst's own — the destination inherits the sum of both histories and
-    // the retired slot restarts at zero, permanently.
-    Shard& old_src = *shards_[src];
-    merged->retired_accesses += old_src.retired_accesses;
-    if (old_src.index != nullptr) {
-      merged->retired_accesses += old_src.index->node_accesses();
-      const common::Status freed = old_src.index->FreePages();
-      MARS_CHECK(freed.ok())
-          << "cannot retire epoch pages: " << freed.ToString();
-    }
-    merged->fanout_queries += old_src.fanout_queries.load();
-    tombstone->rebuilds = old_src.rebuilds + 1;
-    shards_[src] = std::move(tombstone);
-    if (disk_store()) {
-      const common::Status dir = WriteDirectory(src, *shards_[src]);
-      MARS_CHECK(dir.ok())
-          << "cannot persist shard directory: " << dir.ToString();
-    }
-    SwapSlot(std::move(merged));
-    ++rebalances_;
-    count = static_cast<int32_t>(shards_.size());
+    common::MutexLock stage_lock(&stage_mu_);
+    map_.ApplyMerge(src, dst);
+    // Merges are what create compactable patterns (cancelled or forwarded
+    // splits, unreachable sources), so this is the one place the list can
+    // grow dead weight: compact it before it persists. Routing is
+    // preserved exactly, so the already-swapped shard slots stay valid.
+    map_.Compact();
+    RebucketStaged(static_cast<int32_t>(shards_.size()));
   }
-
-  common::MutexLock stage_lock(&stage_mu_);
-  map_.ApplyMerge(src, dst);
-  // Merges are what create compactable patterns (cancelled or forwarded
-  // splits, unreachable sources), so this is the one place the list can
-  // grow dead weight: compact it before it persists. Routing is
-  // preserved exactly, so the already-swapped shard slots stay valid.
-  map_.Compact();
-  if (disk_store()) PersistShardMap();
-  RebucketStaged(count);
+  CommitManifest({src, dst}, std::move(replaced));
   return common::OkStatus();
 }
 

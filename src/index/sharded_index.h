@@ -52,8 +52,8 @@ struct ShardedIndexOptions {
   // the in-memory access methods untouched — a bit-identical passthrough.
   // kDisk pages each shard's tree into `storage.path` (shard k of K > 1
   // uses `path + ".shard<k>"`) behind a per-shard BufferPool, and Build
-  // restores from an existing page file instead of rebuilding when its
-  // directory matches the routed record table.
+  // restores a slot's persisted tree instead of rebuilding it when the
+  // index's manifest entry for the slot matches its routed record table.
   storage::StorageConfig storage;
 };
 
@@ -83,6 +83,11 @@ struct ShardedIndexOptions {
 // freshly allocated shard id — and a cold shard forwarded into a
 // neighbour, each as one epoch-style swap with counters, page files and
 // buffer-pool state following the records.
+//
+// Disk mode keeps one manifest per index (see Manifest): the root array of
+// slot 0's page file. Build, CommitStaged, SplitShard and MergeShards each
+// end in one CommitManifest, whose header root write is the operation's
+// single commit point.
 //
 // Thread safety: Query/node_accesses/Stats are safe from many threads
 // concurrently, including against a concurrent Stage. CommitStaged,
@@ -152,18 +157,18 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // freshly allocated shard id (returned). Build-then-swap like
   // CommitStaged — the split shard's traversal counters stay with the
   // surviving low half, the new shard starts fresh, and in disk mode the
-  // old epoch's pages are freed, the new shard gets its own page file +
-  // buffer pool, and both directories are rewritten. Fails (no state
-  // change) when the shard is retired, holds fewer than two records, or
-  // every center is identical on both axes.
+  // new shard gets its own page file + buffer pool and the old epoch's
+  // pages are freed once the manifest commits. Fails (no state change)
+  // when the shard is retired, holds fewer than two records, or every
+  // center is identical on both axes.
   common::StatusOr<int32_t> SplitShard(int32_t shard);
 
   // Forwards everything routed to `src` into `dst` and retires `src`:
   // dst is rebuilt over both record tables (dst's first), inherits the
   // sum of both shards' counters, and src becomes a permanently empty
-  // slot (its id is never reused). In disk mode both old trees' pages
-  // are freed and both directories rewritten (src's as empty). Fails
-  // when either shard is retired or src == dst.
+  // slot (its id is never reused, and its retired flag persists in the
+  // manifest). In disk mode both old trees' pages are freed once the
+  // manifest commits. Fails when either shard is retired or src == dst.
   common::Status MergeShards(int32_t src, int32_t dst);
 
   // Rebalance ops applied so far (splits + merges).
@@ -215,7 +220,7 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // installs the previous tick's speculative reads (call it FIRST, before
   // any serial-phase work that touches the raw storage managers — interest
   // refresh, rebalancing, ingest — so in-flight reads never overlap page
-  // frees or directory writes), and WarmDispatch issues the next batch
+  // frees or manifest commits), and WarmDispatch issues the next batch
   // (call it LAST, after the tick's interest refresh and rebalance, so the
   // ranking sees the fresh grid and the settled shard layout). Const like
   // UpdateInterest: the serving path holds a const index.
@@ -253,28 +258,63 @@ class ShardedCoefficientIndex : public CoefficientIndex {
     // Merged away: the slot stays (ids are stable) but never receives
     // records or queries again.
     bool retired = false;
+    // Disk mode: FingerprintTable(records, ids), the manifest's proof on
+    // restart that the persisted tree indexes the routed table.
+    uint64_t fingerprint = 0;
     // Stats carried over from the epochs this shard replaced.
     int64_t retired_accesses = 0;
     int64_t rebuilds = 0;
     mutable RelaxedCounter fanout_queries;
   };
 
+  // The index's disk metadata, one per index, stored as the root array of
+  // slot 0's page file through slot 0's pool (the bare --pages path at
+  // K = 1). Holds everything a restart needs to route records exactly as
+  // the persisted index did and to re-attach each slot's tree.
+  struct Manifest {
+    struct Slot {
+      bool retired = false;
+      int64_t record_count = 0;
+      uint64_t fingerprint = 0;
+      // Root invalid for an empty slot.
+      PagedTree3::Info tree;
+    };
+    uint8_t kind = 0;
+    int32_t base_shards = 0;
+    // Base grid bounds: a restart whose freshly computed grid differs bit
+    // for bit ignores the manifest and rebuilds.
+    geometry::Box2 bounds;
+    int32_t total_shards = 0;
+    std::vector<ShardMap::Refinement> refinements;
+    std::vector<Slot> slots;  // total_shards entries
+  };
+  static std::vector<uint8_t> EncodeManifest(const Manifest& manifest);
+  // Fails on any malformed, truncated or checksum-failing blob.
+  static common::Status DecodeManifest(const std::vector<uint8_t>& bytes,
+                                       Manifest* manifest);
+
   // The configured strategy over shard `shard_id`'s buffer pool in disk
   // mode, in RAM otherwise.
   std::unique_ptr<TreeCoefficientIndex> MakeInner(int32_t shard_id) const;
-  // Builds a shard over `records`/`ids` (no locks held).
-  std::unique_ptr<Shard> BuildShard(int32_t id,
-                                    std::vector<CoeffRecord> records,
-                                    std::vector<RecordId> ids) const;
-  // Disk mode: attaches shard `id` to the tree persisted in its page file
-  // instead of rebuilding. Fails (caller then rebuilds) when the stored
-  // directory does not match the routed table.
-  common::StatusOr<std::unique_ptr<Shard>> RestoreShard(
-      int32_t id, std::vector<CoeffRecord> records,
-      std::vector<RecordId> ids) const;
-  // Disk mode: persists shard metadata (tree root, record fingerprint) as
-  // the store's root array so a restart can find and validate the tree.
-  common::Status WriteDirectory(int32_t id, const Shard& shard) const;
+  // Builds a shard over `records`/`ids` (no locks held), or re-attaches
+  // the tree `persisted` describes in the shard's page file.
+  std::unique_ptr<Shard> BuildShard(
+      int32_t id, std::vector<CoeffRecord> records, std::vector<RecordId> ids,
+      const PagedTree3::Info* persisted = nullptr) const;
+  // Disk mode (Build only): opens slot 0's store and decodes the manifest
+  // at its root. When the manifest was written for this index (same kind,
+  // base K and base grid bounds), installs its refinement list on map_
+  // and returns its slot entries; otherwise (no file, no root, corrupt or
+  // foreign manifest) returns none and leaves map_ as built.
+  std::vector<Manifest::Slot> LoadManifest();
+  // Ends every mutating operation (mu_ held exclusively). In disk mode:
+  // flushes the slot stores in `written`, stores the current manifest as
+  // a fresh array in slot 0, sets it as the root (the single commit
+  // point) and erases the previous manifest. Then frees the pages of the
+  // `replaced` shards, which no committed manifest references any more.
+  void CommitManifest(const std::vector<int32_t>& written,
+                      std::vector<std::unique_ptr<Shard>> replaced)
+      MARS_REQUIRES(mu_);
   // Queries one shard, appending global ids; returns node accesses.
   static int64_t QueryShard(const Shard& shard, const geometry::Box2& region,
                             double w_min, double w_max,
@@ -282,17 +322,6 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // Shard k's page file path (keyed to the configured K, so rebalance-
   // allocated shards always get their own ".shard<k>" suffix).
   std::string ShardFilePath(int32_t shard) const;
-  // Disk mode: the shard map's sidecar file (base path + ".shardmap").
-  std::string ShardMapPath() const;
-  // Disk mode: persists the shard map — base K, grid bounds and the
-  // refinement list — so a restart routes records exactly as the
-  // rebalanced map did and re-attaches every split-allocated shard's
-  // page file instead of rebuilding.
-  void PersistShardMap() const;
-  // Disk mode: loads the sidecar and replays its refinements onto `map`
-  // when it matches the configured K and `map`'s freshly computed base
-  // grid (same bounds bit-for-bit). Returns true when `map` was refined.
-  bool LoadShardMap(ShardMap* map) const;
   // Disk mode: opens slot `shard`'s page file (recreated empty when
   // `truncate`) and installs its buffer pool with the per-slot budget,
   // closing whatever store the slot held first. On failure the slot is
@@ -307,11 +336,11 @@ class ShardedCoefficientIndex : public CoefficientIndex {
   // slot table).
   void RebucketStaged(int32_t new_shard_count)
       MARS_REQUIRES(stage_mu_);
-  // Transfers the retired slot's cumulative counters into `next` and
-  // frees its pages; installs `next` into the slot (mu_ held
-  // exclusively).
-  void SwapSlot(std::unique_ptr<Shard> next)
-      MARS_REQUIRES(mu_);
+  // Installs `next` into its slot (mu_ held exclusively) and returns the
+  // shard it replaced, for CommitManifest to free. The replaced shard's
+  // cumulative counters move into `heir` (`next` itself when null).
+  std::unique_ptr<Shard> SwapSlot(std::unique_ptr<Shard> next,
+                                  Shard* heir = nullptr) MARS_REQUIRES(mu_);
 
   ShardedIndexOptions options_;
   ShardMap map_;
@@ -338,12 +367,12 @@ class ShardedCoefficientIndex : public CoefficientIndex {
 
   // Disk mode only: per-shard page stores and buffer pools. Created by
   // Build (one per configured slot) and appended by SplitShard for each
-  // slot it allocates; every epoch of a shard shares its pool
-  // (CommitStaged writes the new epoch's pages and frees the old
-  // epoch's through it). Queries reach a pool through the pointer its
-  // tree captured at build time, so only the vectors need mu_: appends
-  // hold it exclusively, PoolStats/UpdateInterest scan under the reader
-  // lock.
+  // slot it allocates; every epoch of a shard shares its pool (an
+  // operation writes the new epoch's pages through it, and frees the old
+  // epoch's after the manifest commits). Queries reach a pool through the
+  // pointer its tree captured at build time, so only the vectors need
+  // mu_: appends hold it exclusively, PoolStats/UpdateInterest scan under
+  // the reader lock.
   std::vector<std::unique_ptr<storage::DiskStorageManager>> managers_;
   std::vector<std::unique_ptr<storage::BufferPool>> pools_;
   int32_t restored_shards_ = 0;

@@ -130,8 +130,9 @@ class BufferPool {
   EvictPolicy policy() const { return policy_; }
   int64_t capacity_pages() const { return capacity_pages_; }
 
-  // Access to the backing manager for single-threaded control-plane work
-  // (directory blobs, restore). Do not mix with concurrent Fetch calls.
+  // Access to the backing manager for single-threaded control-plane work.
+  // Do not mix with concurrent Fetch calls. (The sharded index's manifest
+  // goes through the pool itself: Store, SetRoot, Flush, Erase.)
   IStorageManager* manager() { return manager_; }
 
  private:

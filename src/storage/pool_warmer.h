@@ -31,7 +31,7 @@ namespace mars::storage {
 // Between Dispatch and the next Join the reads run concurrently with query
 // Fetches (both serialise on each pool's mutex) — but never with the serial
 // window itself, where the index layer talks to the raw storage managers
-// (directory writes, page frees, rebalances). That window ordering is the
+// (manifest commits, page frees, rebalances). That window ordering is the
 // whole determinism argument: every dispatched read installs exactly one
 // tick later regardless of I/O timing, installs happen at one fixed point
 // in the serial order, and results/node accesses are untouched because

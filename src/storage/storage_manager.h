@@ -108,8 +108,10 @@ class IStorageManager {
   // Flushes buffered writes to durable storage (no-op for memory).
   virtual common::Status Flush() = 0;
 
-  // A single well-known "root" array id persisted with the store, used by
-  // the index layer to find its directory after a restart.
+  // A single well-known "root" array id persisted in the store's header.
+  // The sharded index keeps its manifest there (in slot 0's store only),
+  // and setting it is the index's single commit point: write the new
+  // pages first, the root last.
   virtual PageId root() const = 0;
   virtual common::Status SetRoot(PageId id) = 0;
 

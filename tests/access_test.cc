@@ -12,6 +12,7 @@
 #include "index/record.h"
 #include "index/sharded_index.h"
 #include "index/shard_map.h"
+#include "storage/disk_storage.h"
 #include "storage/storage_manager.h"
 #include "workload/scene.h"
 
@@ -600,7 +601,6 @@ ShardedIndexOptions DiskOptions(int32_t shards, const std::string& path,
 
 void RemovePageFiles(const std::string& path, int32_t shards) {
   std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
   for (int32_t s = 0; s < shards; ++s) {
     std::remove((path + ".shard" + std::to_string(s)).c_str());
   }
@@ -776,7 +776,7 @@ TEST(DiskShardedIndexTest, ReplacedEpochsLeakNoPages) {
   RemovePageFiles(fresh_path, 1);
 }
 
-TEST(DiskShardedIndexTest, MergeTombstoneKeepsOnlyItsDirectory) {
+TEST(DiskShardedIndexTest, MergeTombstoneFileHoldsNoLivePage) {
   const auto records = MakeRecords(40, 50, 3);
   const std::string path = ::testing::TempDir() + "/mars_access_tomb.pages";
   const int32_t shards = 4;
@@ -785,9 +785,11 @@ TEST(DiskShardedIndexTest, MergeTombstoneKeepsOnlyItsDirectory) {
     ShardedCoefficientIndex index(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
     index.Build(records);
-    ASSERT_GT(LivePages(index, 1), 1);  // a tree plus its directory
+    ASSERT_GT(LivePages(index, 1), 0);  // the slot's tree
     ASSERT_TRUE(index.MergeShards(1, 0).ok());
-    EXPECT_EQ(LivePages(index, 1), 1);
+    // The manifest lives in slot 0's file, so the tombstone's file keeps
+    // nothing at all.
+    EXPECT_EQ(LivePages(index, 1), 0);
   }
   RemovePageFiles(path, shards);
 }
@@ -1116,11 +1118,11 @@ TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
   }
   ExpectMatchesOracle(disk_index, records);
 
-  // Kill and restart: the persisted shard-map sidecar replays the
-  // refinement list before partitioning, so the revived index routes
-  // exactly as the rebalanced map did and re-attaches EVERY slot's page
-  // file — the two split-allocated shards and the merge tombstone
-  // included — instead of rebuilding from the configured static grid.
+  // Kill and restart: the manifest's refinement list replays before
+  // partitioning, so the revived index routes exactly as the rebalanced
+  // map did and re-attaches EVERY slot's page file — the two
+  // split-allocated shards and the merge tombstone included — instead of
+  // rebuilding from the configured static grid.
   {
     ShardedCoefficientIndex revived(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1154,10 +1156,10 @@ TEST(RebalanceTest, DiskSplitMergeMatchesMemoryAndSurvivesRestart) {
 TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   // MergeShards compacts the refinement list in place. Here the merge
   // forwards a freshly split shard onward, so compaction collapses the
-  // pair to one split targeting base id 2 — a list that can only be
-  // persisted through the v2 sidecar (no ApplySplit replay produces
-  // it). Queries, the memory twin, and a kill-and-restart must all be
-  // oblivious.
+  // pair to one split targeting base id 2 — a list that only restores
+  // because the manifest carries total_shards with it (no ApplySplit
+  // replay produces it). Queries, the memory twin, and a
+  // kill-and-restart must all be oblivious.
   const auto records = MakeRecords(40, 50, 3);
   const std::string path = ::testing::TempDir() + "/mars_access_compact.pages";
   const int32_t shards = 4;
@@ -1190,10 +1192,10 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   }
   ExpectMatchesOracle(disk_index, records);
 
-  // Kill and restart. The compacted sidecar restores the retargeted
-  // split; the merge itself is gone, so the annihilated slot 4 revives
-  // as an empty *live* slot (nothing routes there — its coverage is
-  // empty) instead of a tombstone. Routing and results are unaffected.
+  // Kill and restart. The manifest restores the retargeted split, and
+  // slot 4's persisted retired flag keeps it a tombstone even though the
+  // merge that retired it was compacted away (see
+  // CompactedAwayMergeSourceStaysRetired).
   {
     ShardedCoefficientIndex revived(DiskOptions(
         shards, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1223,8 +1225,8 @@ TEST(RebalanceTest, MergeCompactionPreservesRoutingAndRestart) {
   RemovePageFiles(path, shards + 2);
 }
 
-TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
-  // A sidecar persisted for a different base grid (other K, other record
+TEST(RebalanceTest, StaleManifestRecoversCleanly) {
+  // A manifest persisted for a different base grid (other K, other record
   // bounds) must be ignored — the build falls back to the fresh static
   // map and rebuilds, never routes under a mismatched refinement list.
   const std::string path =
@@ -1237,7 +1239,7 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
     index.Build(MakeRecords(40, 50, 3));
     ASSERT_TRUE(index.SplitShard(0).ok());
   }
-  // Same path, different dataset: bounds differ, sidecar must not apply.
+  // Same path, different dataset: bounds differ, manifest must not apply.
   const auto records = MakeRecords(30, 70, 9);
   ShardedCoefficientIndex index(DiskOptions(
       shards, path, ShardedIndexOptions::Kind::kSupportRegion));
@@ -1245,6 +1247,139 @@ TEST(RebalanceTest, StaleShardMapSidecarRecoversCleanly) {
   EXPECT_EQ(index.shard_count(), shards);
   EXPECT_EQ(index.restored_shards(), 0);
   ExpectMatchesOracle(index, records);
+  RemovePageFiles(path, shards + 2);
+}
+
+TEST(RebalanceTest, CompactedAwayMergeSourceStaysRetired) {
+  // Split 0 -> 4, then merge 4 into 2: compaction rewrites the pair into
+  // one split 0 -> 2, so no refinement names slot 4 any more. Only the
+  // manifest's retired flag remembers the tombstone across a restart.
+  const auto records = MakeRecords(40, 50, 3);
+  const std::string path = ::testing::TempDir() + "/mars_access_retired.pages";
+  const int32_t shards = 4;
+  RemovePageFiles(path, shards + 2);
+  {
+    ShardedCoefficientIndex index(DiskOptions(
+        shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+    index.Build(records);
+    ASSERT_TRUE(index.SplitShard(0).ok());
+    ASSERT_TRUE(index.MergeShards(4, 2).ok());
+    ASSERT_EQ(index.shard_map().refinements().size(), 1u);
+    ASSERT_TRUE(index.Stats()[4].retired);
+    ASSERT_EQ(index.live_shard_count(), shards);
+  }
+  ShardedCoefficientIndex revived(DiskOptions(
+      shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+  revived.Build(records);
+  EXPECT_EQ(revived.restored_shards(), shards + 1);
+  EXPECT_TRUE(revived.Stats()[4].retired);
+  EXPECT_EQ(revived.live_shard_count(), shards);
+  // A retired slot takes part in no further op.
+  EXPECT_FALSE(revived.MergeShards(4, 0).ok());
+  EXPECT_FALSE(revived.SplitShard(4).ok());
+  ExpectMatchesOracle(revived, records);
+  RemovePageFiles(path, shards + 2);
+}
+
+// The root array id a page file's header records (kInvalidPage when the
+// file holds no manifest). Call only while no index has the file open.
+storage::PageId StoredRoot(const std::string& file) {
+  auto store = storage::DiskStorageManager::Open(file, 1024);
+  EXPECT_TRUE(store.ok()) << file;
+  return store.ok() ? store.value()->root() : storage::kInvalidPage;
+}
+
+bool FileExists(const std::string& file) {
+  std::FILE* f = std::fopen(file.c_str(), "rb");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
+TEST(DiskShardedIndexTest, CorruptManifestRebuildsEverySlot) {
+  const auto records = MakeRecords(40, 50, 3);
+  const std::string path =
+      ::testing::TempDir() + "/mars_access_bad_manifest.pages";
+  const int32_t shards = 4;
+  RemovePageFiles(path, shards + 2);
+  {
+    ShardedCoefficientIndex index(DiskOptions(
+        shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+    index.Build(records);
+    ASSERT_TRUE(index.SplitShard(0).ok());
+  }
+  {
+    // Flip one byte in the middle of slot 0's root array, rewritten in
+    // place so the page checksum still holds: only the manifest's own
+    // checksum can catch it.
+    auto store = storage::DiskStorageManager::Open(path + ".shard0", 1024);
+    ASSERT_TRUE(store.ok());
+    storage::PageId root = store.value()->root();
+    ASSERT_NE(root, storage::kInvalidPage);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(store.value()->Load(root, &bytes).ok());
+    bytes[bytes.size() / 2] ^= 0x40;
+    ASSERT_TRUE(store.value()->Store(&root, bytes).ok());
+  }
+
+  // No manifest: the base grid routes, and every slot rebuilds (here on
+  // the fan-out pool, which must change nothing).
+  ShardedCoefficientIndex memory_index(
+      ShardedOptions(shards, ShardedIndexOptions::Kind::kSupportRegion));
+  memory_index.Build(records);
+  {
+    ShardedIndexOptions parallel = DiskOptions(
+        shards, path, ShardedIndexOptions::Kind::kSupportRegion);
+    parallel.fanout_workers = 4;
+    ShardedCoefficientIndex revived(parallel);
+    revived.Build(records);
+    EXPECT_EQ(revived.restored_shards(), 0);
+    EXPECT_EQ(revived.shard_count(), shards);
+    ExpectMatchesOracle(revived, records);
+    common::Rng rng(17);
+    for (int q = 0; q < 20; ++q) {
+      const double x = rng.Uniform(0, 900), y = rng.Uniform(0, 900);
+      const geometry::Box2 region =
+          geometry::MakeBox2(x, y, x + 120, y + 120);
+      std::vector<RecordId> got_mem, got_disk;
+      const int64_t io_mem = memory_index.Query(region, 0.3, 1.0, &got_mem);
+      const int64_t io_disk = revived.Query(region, 0.3, 1.0, &got_disk);
+      EXPECT_EQ(got_disk, got_mem);
+      EXPECT_EQ(io_disk, io_mem);
+    }
+  }
+  // The rebuild committed a fresh manifest: the next restart attaches.
+  ShardedCoefficientIndex again(DiskOptions(
+      shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+  again.Build(records);
+  EXPECT_EQ(again.restored_shards(), shards);
+  RemovePageFiles(path, shards + 2);
+}
+
+TEST(DiskShardedIndexTest, OnlySlotZeroHoldsARootAfterRebalancing) {
+  const auto records = MakeRecords(40, 50, 3);
+  const std::string path = ::testing::TempDir() + "/mars_access_root.pages";
+  const int32_t shards = 4;
+  RemovePageFiles(path, shards + 2);
+  int32_t total = 0;
+  {
+    ShardedCoefficientIndex index(DiskOptions(
+        shards, path, ShardedIndexOptions::Kind::kSupportRegion));
+    index.Build(records);
+    ASSERT_TRUE(index.SplitShard(0).ok());
+    ASSERT_TRUE(index.SplitShard(1).ok());
+    ASSERT_TRUE(index.MergeShards(2, 3).ok());
+    total = index.shard_count();
+  }
+  ASSERT_EQ(total, shards + 2);
+  EXPECT_NE(StoredRoot(path + ".shard0"), storage::kInvalidPage);
+  for (int32_t s = 1; s < total; ++s) {
+    EXPECT_EQ(StoredRoot(path + ".shard" + std::to_string(s)),
+              storage::kInvalidPage)
+        << "slot " << s;
+  }
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".shardmap"));
   RemovePageFiles(path, shards + 2);
 }
 

@@ -29,6 +29,17 @@ test -s "$TMP/city.pages"
 "$BIN_DIR/tools/mars_sim" run --db "$TMP/city.mars" --frames 30 \
     --client streaming --store disk --pages "$TMP/city.pages" \
     | grep -q "restored shards 1/1"
+# Restart after rebalancing: the first run splits shards past the
+# configured four, and the rerun re-attaches every slot it left (all six)
+# through the manifest in slot 0's page file, with no sidecar file.
+"$BIN_DIR/tools/mars_sim" run --objects 20 --zipf --seed 5 --frames 60 \
+    --client buffered --shards 4 --rebalance on --rebalance-interval 4 \
+    --store disk --pages "$TMP/r.pages" \
+    | grep -q "shards live / total     : 6 / 6"
+"$BIN_DIR/tools/mars_sim" run --objects 20 --zipf --seed 5 --frames 60 \
+    --client buffered --shards 4 --rebalance on --rebalance-interval 4 \
+    --store disk --pages "$TMP/r.pages" | grep -q "restored shards 6/4"
+test ! -e "$TMP/r.pages.shardmap"
 # --store disk without --pages fails loudly.
 if "$BIN_DIR/tools/mars_sim" run --db "$TMP/city.mars" --frames 30 \
     --store disk 2>/dev/null; then exit 1; fi

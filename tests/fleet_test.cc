@@ -1214,7 +1214,6 @@ std::unique_ptr<core::System> DiskMotionSystem(const std::string& name,
   config.storage.warm_budget = 8;
   config.storage.warm_workers = warm_workers;
   std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
   for (int s = 0; s < 4; ++s) {
     std::remove((path + ".shard" + std::to_string(s)).c_str());
   }

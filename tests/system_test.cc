@@ -205,7 +205,6 @@ TEST(SystemTest, PersistedDatabaseReproducesIdenticalRuns) {
 std::unique_ptr<System> TickContractSystem(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name + ".pages";
   std::remove(path.c_str());
-  std::remove((path + ".shardmap").c_str());
   for (int s = 0; s < 64; ++s) {
     std::remove((path + ".shard" + std::to_string(s)).c_str());
   }
@@ -298,6 +297,7 @@ RunMetrics ReferenceBuffered(const System& system,
     m.demand_bytes += report.demand_bytes;
     m.prefetch_bytes += report.prefetch_bytes;
     m.node_accesses += report.node_accesses;
+    m.records_delivered += static_cast<int64_t>(report.records.size());
     m.total_response_seconds += report.response_seconds;
     if (report.response_seconds > 0.0) ++m.demand_exchanges;
     m.retries += report.retries;
@@ -398,6 +398,7 @@ TEST(SerialTickContractTest, RunLoopsMatchPerStepReference) {
     } else if (kind == "buffered") {
       got = run->RunBuffered(tour, client::BufferedClient::Options());
       want = ReferenceBuffered(*reference, tour);
+      EXPECT_GT(got.records_delivered, 0);
     } else {
       got = run->RunNaiveObject(tour, client::NaiveObjectClient::Options());
       want = ReferenceNaive(*reference, tour);

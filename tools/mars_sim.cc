@@ -68,9 +68,12 @@
 //       JSON block gains per-cell, handover and chaos-invariant lines.
 //       --store disk pages the coefficient index into the --pages file
 //       (shard k of K > 1 appends ".shard<k>") behind per-shard buffer
-//       pools of --pool-pages total pages of --page-size bytes; a rerun
-//       against an existing page file restores the trees instead of
-//       rebuilding ("restored shards" reports how many attached).
+//       pools of --pool-pages total pages of --page-size bytes. Slot 0's
+//       file also holds the index's manifest (the shard map and every
+//       slot's tree root), so a rerun against the same --pages restores
+//       the trees instead of rebuilding, rebalanced slots included
+//       ("restored shards" reports how many attached). No other file is
+//       written.
 //       --evict picks the pool's eviction policy: lru, or motion — the
 //       paper's client visit-probability logic run server-side over the
 //       fleet's predicted positions. The default --store memory is a
